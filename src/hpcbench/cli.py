@@ -113,10 +113,13 @@ def _cmd_validate(args) -> int:
         any_error |= bool(errors)
         out.append({"run_id": run.run_id,
                     "violations": [v.to_dict() for v in violations]})
-        status = "clean" if not violations else f"{len(violations)} violation(s)"
-        print(f"{run.run_id}: {status}")
-        for v in violations:
-            print(f"  layer {v.layer} [{v.severity.value}] {v.key}: {v.message}")
+        if args.format != "json":
+            status = ("clean" if not violations
+                      else f"{len(violations)} violation(s)")
+            print(f"{run.run_id}: {status}")
+            for v in violations:
+                print(f"  layer {v.layer} [{v.severity.value}] {v.key}: "
+                      f"{v.message}")
     if args.format == "json":
         print(json.dumps(out, indent=2))
     if diagnostics:

@@ -8,13 +8,18 @@ and the derived hardware peak rates.
 All types are immutable after construction and safe to share across
 threads.  Construction validates invariants and raises
 :class:`~hpcbench.errors.SchemaError` naming the offending field.
+Because they are frozen, records parsed by one
+:func:`~hpcbench.store.ingest` call may share one ``system`` or
+``workload`` object when their JSON sub-documents are identical.
 """
 
-from dataclasses import dataclass, field, fields
+from collections.abc import Mapping
+from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cache
 import json
 import math
-from typing import Any, Mapping, Optional
+from typing import Any, Optional
 
 from .errors import MissingPrecision, ParseError, SchemaError
 
@@ -62,7 +67,16 @@ def _require(cond: bool, message: str) -> None:
         raise SchemaError(message)
 
 
+def _is_mapping(value: Any) -> bool:
+    return type(value) is dict or isinstance(value, Mapping)
+
+
 def _num(value: Any, name: str) -> float:
+    kind = type(value)
+    if kind is float and math.isfinite(value):
+        return value
+    if kind is int:
+        return float(value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{name} must be a number, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
@@ -70,12 +84,25 @@ def _num(value: Any, name: str) -> float:
     return float(value)
 
 
+def _coerce(enum: type, value: Any):
+    """``enum(value)``, without the enum call when ``value`` is a member."""
+    return value if type(value) is enum else enum(value)
+
+
+@cache
+def _field_names(cls) -> frozenset:
+    """The field plan of a dataclass: its field names, computed once."""
+    return frozenset(f.name for f in fields(cls))
+
+
 def _check_known_fields(data: Mapping[str, Any], cls, lenient: bool) -> dict:
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
-    if unknown and not lenient:
+    known = _field_names(cls)
+    if known.issuperset(data):
+        return dict(data)
+    if not lenient:
         raise SchemaError(
-            f"unknown fields for {cls.__name__}: {', '.join(sorted(unknown))}"
+            f"unknown fields for {cls.__name__}: "
+            f"{', '.join(sorted(set(data) - known))}"
         )
     return {k: v for k, v in data.items() if k in known}
 
@@ -98,9 +125,10 @@ class TargetQuality:
         _require(isinstance(self.metric, str) and self.metric != "",
                  "target_quality.metric must be a non-empty string")
         v = _num(self.value, "target_quality.value")
-        _require(0.0 < v <= 1.0,
-                 f"target_quality.value must be a fraction in (0, 1], got {v} "
-                 "(percentages are rejected; write 0.763, not 76.3)")
+        if not 0.0 < v <= 1.0:
+            raise SchemaError(
+                f"target_quality.value must be a fraction in (0, 1], got {v} "
+                "(percentages are rejected; write 0.763, not 76.3)")
         object.__setattr__(self, "value", v)
 
     def to_dict(self) -> dict:
@@ -123,9 +151,10 @@ class AcceleratorSpec:
     def __post_init__(self):
         peaks = {}
         for mode, rate in dict(self.peak_flops).items():
-            mode = PrecisionMode(mode)
+            mode = _coerce(PrecisionMode, mode)
             rate = _num(rate, f"peak_flops[{mode.value}]")
-            _require(rate > 0, f"peak_flops[{mode.value}] must be positive")
+            if not rate > 0:
+                raise SchemaError(f"peak_flops[{mode.value}] must be positive")
             peaks[mode] = rate
         _require(PrecisionMode.FP32 in peaks, "peak_flops must include fp32")
         object.__setattr__(self, "peak_flops", peaks)
@@ -155,7 +184,7 @@ class AcceleratorSpec:
     def from_dict(cls, data: Mapping[str, Any], lenient: bool = False):
         kwargs = _check_known_fields(data, cls, lenient)
         raw = kwargs.get("peak_flops")
-        if not isinstance(raw, Mapping):
+        if not _is_mapping(raw):
             raise SchemaError("peak_flops must be a mapping of precision to FLOPS")
         try:
             kwargs["peak_flops"] = {PrecisionMode(k): v for k, v in raw.items()}
@@ -196,7 +225,7 @@ class NodeSpec:
     def from_dict(cls, data: Mapping[str, Any], lenient: bool = False):
         kwargs = _check_known_fields(data, cls, lenient)
         acc = kwargs.get("accelerator")
-        if not isinstance(acc, Mapping):
+        if not _is_mapping(acc):
             raise SchemaError("accelerator must be an object")
         kwargs["accelerator"] = AcceleratorSpec.from_dict(acc, lenient)
         return _construct(cls, kwargs)
@@ -246,7 +275,7 @@ class SystemConfig:
     def from_dict(cls, data: Mapping[str, Any], lenient: bool = False):
         kwargs = _check_known_fields(data, cls, lenient)
         node = kwargs.get("node")
-        if not isinstance(node, Mapping):
+        if not _is_mapping(node):
             raise SchemaError("node must be an object")
         kwargs["node"] = NodeSpec.from_dict(node, lenient)
         return _construct(cls, kwargs)
@@ -289,8 +318,9 @@ class WorkloadSpec:
         _require(isinstance(self.dataset_samples, int) and self.dataset_samples >= 1,
                  "dataset_samples must be an integer >= 1")
         for name in ("params_count", "comm_per_step", "bytes_per_param"):
-            _require(isinstance(getattr(self, name), int) and getattr(self, name) >= 0,
-                     f"{name} must be a non-negative integer")
+            value = getattr(self, name)
+            if not (isinstance(value, int) and value >= 0):
+                raise SchemaError(f"{name} must be a non-negative integer")
         _require(_num(self.comp_per_step, "comp_per_step") >= 0,
                  "comp_per_step must be non-negative")
 
@@ -318,7 +348,7 @@ class WorkloadSpec:
     def from_dict(cls, data: Mapping[str, Any], lenient: bool = False):
         kwargs = _check_known_fields(data, cls, lenient)
         tq = kwargs.get("target_quality")
-        if not isinstance(tq, Mapping):
+        if not _is_mapping(tq):
             raise SchemaError("target_quality must be an object")
         kwargs["target_quality"] = TargetQuality.from_dict(tq, lenient)
         return _construct(cls, kwargs)
@@ -356,11 +386,11 @@ class NineLayerDeclaration:
                  "declaration must contain exactly nine layers")
         frozen = []
         for i, layer in enumerate(self.layers, start=1):
-            if not isinstance(layer, Mapping):
+            if not _is_mapping(layer):
                 raise SchemaError(f"layer {i} must be a key/value mapping")
             for key in layer:
-                _require(isinstance(key, str) and key != "",
-                         f"layer {i} keys must be non-empty strings")
+                if not isinstance(key, str) or key == "":
+                    raise SchemaError(f"layer {i} keys must be non-empty strings")
             frozen.append(dict(layer))
         object.__setattr__(self, "layers", tuple(frozen))
 
@@ -420,12 +450,13 @@ class RunRecord:
                  "run_id must be a non-empty string")
         _require(_num(self.wall_time, "wall_time") > 0, "wall_time must be positive")
         q = _num(self.achieved_quality, "achieved_quality")
-        _require(0.0 <= q <= 1.0, f"achieved_quality must be in [0, 1], got {q}")
+        if not 0.0 <= q <= 1.0:
+            raise SchemaError(f"achieved_quality must be in [0, 1], got {q}")
         _require(isinstance(self.scale, int) and self.scale >= 1,
                  "scale must be an integer >= 1")
-        _require(self.scale <= self.system.total_accelerators,
-                 f"scale {self.scale} exceeds the system's "
-                 f"{self.system.total_accelerators} accelerators")
+        if self.scale > self.system.total_accelerators:
+            raise SchemaError(f"scale {self.scale} exceeds the system's "
+                              f"{self.system.total_accelerators} accelerators")
         _require(isinstance(self.num_ranks, int) and self.num_ranks >= 1,
                  "num_ranks must be an integer >= 1")
         _require(isinstance(self.global_batchsize, int) and self.global_batchsize >= 1,
@@ -438,8 +469,9 @@ class RunRecord:
         if self.average_power is not None:
             _require(_num(self.average_power, "average_power") > 0,
                      "average_power must be positive when present")
-        object.__setattr__(self, "precision", PrecisionMode(self.precision))
-        object.__setattr__(self, "level", BenchLevel(self.level))
+        object.__setattr__(self, "precision",
+                           _coerce(PrecisionMode, self.precision))
+        object.__setattr__(self, "level", _coerce(BenchLevel, self.level))
 
     def to_dict(self) -> dict:
         doc = {
@@ -461,21 +493,48 @@ class RunRecord:
         return doc
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any], lenient: bool = False):
+    def from_dict(cls, data: Mapping[str, Any], lenient: bool = False, *,
+                  _intern: Optional[dict] = None):
+        """Build a record from decoded JSON.
+
+        ``_intern`` is the table :func:`loads` passes for one ingest:
+        a valid ``workload`` or ``system`` is built once per distinct
+        sub-document and reused, see :func:`_interned`.
+        """
         kwargs = _check_known_fields(data, cls, lenient)
-        for name, sub in (("workload", WorkloadSpec),
-                          ("system", SystemConfig),
-                          ("declaration", NineLayerDeclaration)):
+        for name, sub, table in (("workload", WorkloadSpec, _intern),
+                                 ("system", SystemConfig, _intern),
+                                 ("declaration", NineLayerDeclaration, None)):
             raw = kwargs.get(name)
-            if not isinstance(raw, Mapping):
+            if not _is_mapping(raw):
                 raise SchemaError(f"{name} must be an object")
-            kwargs[name] = sub.from_dict(raw, lenient)
+            kwargs[name] = _interned(table, sub, raw, lenient)
         try:
             kwargs["precision"] = PrecisionMode(kwargs.get("precision"))
             kwargs["level"] = BenchLevel(kwargs.get("level"))
         except ValueError as exc:
             raise SchemaError(str(exc)) from None
         return _construct(cls, kwargs)
+
+
+def _interned(table: Optional[dict], cls, raw: Mapping[str, Any],
+              lenient: bool):
+    """``cls.from_dict(raw, lenient)``, built once per distinct ``raw``
+    in ``table``.
+
+    The key is the ``repr`` of the JSON-decoded sub-document, which is
+    exact: it keeps ``1`` and ``1.0`` apart, and ``True`` and ``1``.
+    The same keys in another order miss the table, which costs a
+    rebuild and nothing else.  A sub-document that fails validation
+    raises and is never stored.
+    """
+    if table is None or type(raw) is not dict:
+        return cls.from_dict(raw, lenient)
+    key = (cls, lenient, repr(raw))
+    obj = table.get(key)
+    if obj is None:
+        obj = table[key] = cls.from_dict(raw, lenient)
+    return obj
 
 
 def derive_peaks(system: SystemConfig,
@@ -503,22 +562,28 @@ _TYPE_BY_KIND = {
 }
 
 
-def loads(text: str, kind: str, lenient: bool = False, path=None):
+def loads(text: str, kind: str, lenient: bool = False, path=None, *,
+          _intern: Optional[dict] = None):
     """Parse a JSON document into the named domain type.
 
     ``kind`` is one of ``system``, ``workload``, ``run``,
     ``declaration``.  Unknown fields are rejected unless ``lenient``.
+    ``_intern`` is private to :func:`~hpcbench.store.ingest`, which
+    passes one fresh table per call so that its ``run`` records share
+    identical ``system``/``workload`` objects.
     """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, path=path, line=exc.lineno, offset=exc.colno) from None
-    if not isinstance(data, Mapping):
+    if not _is_mapping(data):
         raise SchemaError(f"top-level JSON value must be an object ({path or kind})")
     try:
         cls = _TYPE_BY_KIND[kind]
     except KeyError:
         raise ValueError(f"unknown document kind {kind!r}") from None
+    if cls is RunRecord:
+        return cls.from_dict(data, lenient=lenient, _intern=_intern)
     return cls.from_dict(data, lenient=lenient)
 
 

@@ -38,6 +38,7 @@ from .core import (
     RunRecord,
     SystemConfig,
     WorkloadSpec,
+    _num,
 )
 from .errors import BatchShardError, DegenerateBand, SchemaError
 
@@ -238,9 +239,9 @@ class SimulationOptions:
             raise SchemaError("achieved_quality must be declared in [0, 1]")
         if not (0.0 < self.compute_efficiency <= 1.0):
             raise SchemaError("compute_efficiency must be in (0, 1]")
-        if self.compress_factor < 1.0:
+        if _num(self.compress_factor, "compress_factor") < 1.0:
             raise SchemaError("compress_factor must be >= 1")
-        if self.negotiation_skew < 0:
+        if _num(self.negotiation_skew, "negotiation_skew") < 0:
             raise SchemaError("negotiation_skew must be non-negative")
         if self.gradient_tensors < 1:
             raise SchemaError("gradient_tensors must be >= 1")
@@ -388,6 +389,7 @@ def simulate_training(system: SystemConfig, workload: WorkloadSpec,
     against ``options.baseline_scale`` (default: the single-node scale)
     at the same per-rank batch.
     """
+    precision = PrecisionMode(precision)
     if global_batchsize % scale:
         raise BatchShardError(
             f"global batch {global_batchsize} does not shard over "

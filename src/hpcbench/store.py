@@ -54,14 +54,18 @@ def ingest(path, lenient: bool = False) -> IngestResult:
     unless ``lenient``) and validated against the run-record invariants.
     Bad documents become diagnostics instead of aborting the batch;
     duplicate run ids are rejected.
+
+    Records whose ``system`` or ``workload`` sub-documents are identical
+    share one (frozen) object, built and validated once per call.
     """
     records: list[RunRecord] = []
     diagnostics: list[Diagnostic] = []
     seen: dict[str, str] = {}
+    intern: dict = {}
     for file in _json_files(Path(path)):
         try:
             record = loads(file.read_text(encoding="utf-8"), "run",
-                           lenient=lenient, path=str(file))
+                           lenient=lenient, path=str(file), _intern=intern)
         except ParseError as exc:
             diagnostics.append(Diagnostic(str(file), str(exc), "parse"))
             continue

@@ -72,6 +72,28 @@ class TestPipeline:
         assert "## 3. Scores" in out_file.read_text()
 
 
+class TestJsonContract:
+    """``--format json`` stdout is exactly one JSON document."""
+
+    @pytest.mark.parametrize("command", [
+        "validate", "score", "rank", "aggregate", "report", "simulate"])
+    def test_stdout_parses(self, command, ranking_store, tmp_path, capsys):
+        store = ["--store", str(ranking_store["root"])]
+        reference = ["--reference", str(ranking_store["reference"])]
+        select = ["--select", "ic-mixed-64-*"]
+        argv = {
+            "validate": store + reference,
+            "score": store,
+            "rank": store + reference,
+            "aggregate": store + select,
+            "report": store + select + reference,
+            "simulate": [str(write_scenario(tmp_path))],
+        }[command]
+        code, out, err = run_cli(capsys, command, *argv, "--format", "json")
+        assert code == 0, err
+        json.loads(out)
+
+
 class TestExitCodes:
     def test_violations_exit_two(self, ranking_store, tmp_path, capsys):
         # craft one run with a forbidden hyper-parameter change
@@ -139,19 +161,24 @@ class TestRooflineCommand:
         assert 'viewBox="0 0 960 540"' in svg_path.read_text()
 
 
+def write_scenario(tmp_path):
+    scenario = {
+        "system": case_study_system().to_dict(),
+        "workload": ewa_workload().to_dict(),
+        "sweep": [8, 16],
+        "per_rank_batch": 1,
+        "alpha": 0.7,
+        "options": {"achieved_quality": 0.35,
+                    "compute_efficiency": 0.26},
+    }
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(scenario))
+    return scenario_path
+
+
 class TestSimulateCommand:
     def test_scenario_sweep(self, tmp_path, capsys):
-        scenario = {
-            "system": case_study_system().to_dict(),
-            "workload": ewa_workload().to_dict(),
-            "sweep": [8, 16],
-            "per_rank_batch": 1,
-            "alpha": 0.7,
-            "options": {"achieved_quality": 0.35,
-                        "compute_efficiency": 0.26},
-        }
-        scenario_path = tmp_path / "scenario.json"
-        scenario_path.write_text(json.dumps(scenario))
+        scenario_path = write_scenario(tmp_path)
         out_dir = tmp_path / "results"
         code, out, err = run_cli(capsys, "simulate", str(scenario_path),
                                  "--out", str(out_dir), "--format", "json")

@@ -167,3 +167,45 @@ class TestStrictParsing:
         doc["node"]["accelerator"]["peak_flops"]["fp128"] = 1e12
         with pytest.raises(SchemaError, match="precision"):
             loads(json.dumps(doc), "system")
+
+
+class TestInterning:
+    """``loads`` with one intern table, as ``ingest`` calls it."""
+
+    def test_lenient_parse_never_admits_unknown_fields_strictly(self):
+        doc = json.loads(dumps(make_run()))
+        doc["system"]["vendor"] = "acme"
+        text = json.dumps(doc)
+        table = {}
+        assert loads(text, "run", lenient=True, _intern=table) == make_run()
+        with pytest.raises(SchemaError, match="vendor"):
+            loads(text, "run", _intern=table)
+
+    def test_int_float_and_key_order_give_equal_records(self):
+        doc = json.loads(dumps(make_run()))
+        as_int = json.loads(json.dumps(doc))
+        as_int["system"]["node"]["storage"] = int(
+            doc["system"]["node"]["storage"])
+        reordered = json.loads(json.dumps(doc))
+        reordered["system"] = dict(reversed(list(doc["system"].items())))
+        table = {}
+        parsed = [loads(json.dumps(d), "run", _intern=table)
+                  for d in (doc, as_int, reordered)]
+        assert parsed[0] == parsed[1] == parsed[2] == make_run()
+
+    def test_float_never_reuses_the_int_entry(self):
+        doc = json.loads(dumps(make_run()))
+        table = {}
+        loads(json.dumps(doc), "run", _intern=table)
+        doc["system"]["num_nodes"] = 8.0
+        with pytest.raises(SchemaError, match="num_nodes"):
+            loads(json.dumps(doc), "run", _intern=table)
+
+    def test_invalid_sub_document_is_never_stored(self):
+        doc = json.loads(dumps(make_run()))
+        doc["system"]["num_nodes"] = 0
+        table = {}
+        for _ in range(2):
+            with pytest.raises(SchemaError, match="num_nodes"):
+                loads(json.dumps(doc), "run", _intern=table)
+        assert [key[0] for key in table] == [WorkloadSpec]

@@ -234,6 +234,17 @@ class TestSimulateTraining:
         text = json.dumps(result.run.to_dict())
         assert loads(text, "run") == result.run
 
+    def test_string_precision_is_coerced(self, ewa):
+        result = simulate(ewa, 16, 1, precision="fp32")
+        assert result.run.precision is PrecisionMode.FP32
+        assert result.run == simulate(ewa, 16, 1).run
+
+    @pytest.mark.parametrize("name", ["compress_factor", "negotiation_skew"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_options_rejected(self, name, value):
+        with pytest.raises(SchemaError, match=name):
+            SimulationOptions(achieved_quality=0.76, **{name: value})
+
 
 class TestPhaseTimeline:
     def test_no_waits_at_full_overlap_without_skew(self, ewa):

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from hpcbench.core import BenchLevel, PrecisionMode, RunRecord, dumps
+from hpcbench.core import BenchLevel, PrecisionMode, RunRecord, dumps, loads
 from hpcbench.errors import (
     BenchError,
     DuplicateRun,
@@ -19,7 +19,7 @@ from hpcbench.presets import (
 )
 from hpcbench.report import emit_report, rank, vflops_ratio
 from hpcbench.rules import Severity, Violation, aggregate_runs
-from hpcbench.store import ResultsStore, ingest
+from hpcbench.store import IngestResult, ResultsStore, ingest
 from hpcbench.units import TERA
 
 
@@ -130,6 +130,29 @@ class TestIngest:
         result = ingest(tmp_path)
         assert len(result.records) == 1
         assert "duplicate" in result.diagnostics[0].error
+
+    def test_records_share_identical_systems(self, tmp_path):
+        for run_id in ("a", "b"):
+            (tmp_path / f"{run_id}.json").write_text(dumps(make_run(run_id)))
+        result = ingest(tmp_path)
+        a, b = result.records
+        assert a.system is b.system and a.workload is b.workload
+        assert a.declaration is not b.declaration
+        per_file = tuple(loads(f.read_text(), "run")
+                         for f in sorted(tmp_path.glob("*.json")))
+        assert result == IngestResult(records=per_file, diagnostics=())
+
+    def test_scale_beyond_shared_system_is_a_diagnostic(self, tmp_path):
+        (tmp_path / "a.json").write_text(dumps(make_run("a")))
+        doc = json.loads(dumps(make_run("b")))
+        doc["scale"] = 65
+        (tmp_path / "b.json").write_text(json.dumps(doc))
+        (tmp_path / "c.json").write_text(dumps(make_run("c")))
+        result = ingest(tmp_path)
+        assert [r.run_id for r in result.records] == ["a", "c"]
+        (diag,) = result.diagnostics
+        assert diag.kind == "schema"
+        assert diag.error == "scale 65 exceeds the system's 64 accelerators"
 
 
 class TestRank:
