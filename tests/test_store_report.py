@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -9,6 +10,7 @@ from hpcbench.errors import (
     DuplicateRun,
     IncomparableWorkloads,
     IncompleteReport,
+    SchemaError,
 )
 from hpcbench.metrics import Score, score_run, vflops
 from hpcbench.presets import (
@@ -58,9 +60,109 @@ class TestStore:
 
     def test_stale_lock_blocks_writers(self, tmp_path):
         store = ResultsStore(tmp_path)
-        (tmp_path / ResultsStore.LOCK_NAME).touch()
-        with pytest.raises(BenchError, match="locked"):
+        lock = tmp_path / ResultsStore.LOCK_NAME
+        lock.touch()
+        with pytest.raises(BenchError, match=r"locked by another writer \(remove"):
             store.add(make_run())
+        lock.write_text("pid 4242 on node7 since 2020-01-02T03:04:05Z\n")
+        with pytest.raises(BenchError, match=r"writer \(pid 4242 on node7 "
+                           r"since 2020-01-02T03:04:05Z\)"):
+            store.add(make_run())
+        lock.unlink()
+        store._acquire_lock()
+        try:
+            with pytest.raises(BenchError, match=f"pid {os.getpid()} on "):
+                ResultsStore(tmp_path).add(make_run())
+        finally:
+            store._release_lock()
+        assert not any(tmp_path.iterdir())
+
+    def test_same_id_under_another_workload_is_duplicate(self, tmp_path, ic):
+        store = ResultsStore(tmp_path)
+        store.add(make_run(run_id="x"))
+        with pytest.raises(DuplicateRun, match="'x' already stored"):
+            store.add(make_run(run_id="x", workload=ic, scale=16, sps=100.0))
+        assert not (tmp_path / ic.name).exists()
+
+    def test_duplicate_written_by_another_store_object(self, tmp_path):
+        a, b = ResultsStore(tmp_path), ResultsStore(tmp_path)
+        a.add(make_run(run_id="x"))
+        path = b.add(make_run(run_id="y"))
+        stored = path.read_bytes()
+        with pytest.raises(DuplicateRun):
+            a.add(make_run(run_id="y", wall_time=2000.0))
+        assert path.read_bytes() == stored
+
+    def test_add_does_not_read_the_store(self, tmp_path, monkeypatch):
+        store = ResultsStore(tmp_path)
+        store.add_all(make_run(run_id=f"r{i}") for i in range(50))
+
+        def no_index(self):
+            raise AssertionError("add rebuilt the index")
+
+        monkeypatch.setattr(ResultsStore, "index", no_index)
+        assert store.add(make_run(run_id="r50")).exists()
+        with pytest.raises(DuplicateRun):
+            store.add(make_run(run_id="r7"))
+
+    def test_overwrite_replaces_record(self, tmp_path):
+        store = ResultsStore(tmp_path)
+        store.add(make_run(wall_time=1000.0))
+        store.add(make_run(wall_time=2000.0), overwrite=True)
+        assert store.load("r1").wall_time == 2000.0
+        assert [p.name for p in tmp_path.rglob("*")] == ["extreme_weather",
+                                                         "r1.json"]
+
+    def test_record_bytes(self, tmp_path):
+        run = make_run()
+        path = ResultsStore(tmp_path).add(run)
+        assert path.read_text() == json.dumps(run.to_dict(), indent=2) + "\n"
+
+    @pytest.mark.parametrize("run_id, workload_name", [
+        ("../../escaped", None), ("../escaped", None), ("a/b", None),
+        (".hidden", None), ("-flag", None), ("x y", None), ("r\n", None),
+        ("r1", "../../escaped"), ("r1", ".."), ("r1", "a/b"),
+    ])
+    def test_unsafe_path_components_rejected(self, tmp_path, run_id,
+                                             workload_name):
+        # Deep enough that every escape tried here would land in tmp_path.
+        root = tmp_path / "a" / "b" / "store"
+        store = ResultsStore(root)
+        workload = ewa_workload()
+        if workload_name is not None:
+            workload = replace(workload, name=workload_name)
+        run = make_run(run_id=run_id, workload=workload)
+        with pytest.raises(SchemaError, match="safe path component") as info:
+            store.add(run)
+        assert info.value.exit_code == 3
+        assert sorted(tmp_path.rglob("*")) == [root.parent.parent,
+                                               root.parent, root]
+
+    def test_longest_record_name_is_writable(self, tmp_path):
+        longest = os.pathconf(tmp_path, "PC_NAME_MAX") - len(".json")
+        assert ResultsStore(tmp_path).add(make_run(run_id="r" * longest)).exists()
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        store = ResultsStore(tmp_path)
+
+        def fail(src, dst):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk gone"):
+            store.add(make_run())
+        assert [p.name for p in tmp_path.rglob("*")] == ["extreme_weather"]
+        monkeypatch.undo()
+        assert store.add(make_run()).exists()
+
+    def test_leftover_temporary_file_is_ignored(self, tmp_path):
+        # What a crash between the write and the rename leaves behind.
+        (tmp_path / "extreme_weather").mkdir()
+        (tmp_path / "extreme_weather" / ".r1.tmp").write_text('{"run_id": "r')
+        store = ResultsStore(tmp_path)
+        store.add(make_run())
+        assert store.load_all().clean
+        assert [r.run_id for r in store.load_all().records] == ["r1"]
 
     def test_index_rebuild(self, tmp_path):
         store = ResultsStore(tmp_path)
