@@ -4,7 +4,8 @@ Subcommands: ``validate``, ``score``, ``aggregate``, ``rank``,
 ``roofline``, ``simulate``, ``report``.  Common flags ``--store``,
 ``--lenient`` and ``--format {md,json,csv}`` are accepted by every data
 subcommand.  Exit codes: 0 success, 1 internal error, 2 rule violations
-present, 3 schema errors.
+present, 3 schema errors (bad input, including bad command-line
+arguments).
 
 Each invocation is an independent process over the file store; there is
 no daemon state.
@@ -24,6 +25,7 @@ from .core import (
     NineLayerDeclaration,
     PrecisionMode,
     RunRecord,
+    _is_mapping,
     loads,
 )
 from .errors import (
@@ -45,6 +47,15 @@ from .roofline import (
 from .store import ResultsStore, ingest
 
 __all__ = ["main"]
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are bad input: exit 3, not argparse's 2, which
+    would read as "rule violations present"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_SCHEMA, f"{self.prog}: error: {message}\n")
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -136,9 +147,7 @@ def _cmd_score(args) -> int:
         rows.append([run.run_id, f"{s.flops:.6g}", f"{s.vflops:.6g}",
                      "" if s.vflops_per_watt is None else f"{s.vflops_per_watt:.6g}",
                      f"{s.time_to_quality:.6g}", f"{s.penalty:.6g}"])
-        doc.append({"run_id": run.run_id, "flops": s.flops, "vflops": s.vflops,
-                    "vflops_per_watt": s.vflops_per_watt,
-                    "time_to_quality": s.time_to_quality, "penalty": s.penalty})
+        doc.append({"run_id": run.run_id, **s.to_dict()})
     _emit_table(args.format,
                 ["run_id", "flops", "vflops", "vflops_per_watt",
                  "time_to_quality", "penalty"], rows, doc)
@@ -209,22 +218,27 @@ def _cmd_rank(args) -> int:
     return EXIT_VIOLATIONS if any_error else EXIT_OK
 
 
+def _read_array(path: str, what: str) -> list:
+    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(raw, list):
+        raise SchemaError(f"{what} file {path} must hold a JSON array")
+    return raw
+
+
 def _cmd_roofline(args) -> int:
     system = loads(Path(args.system).read_text(encoding="utf-8"), "system",
                    lenient=args.lenient, path=args.system)
     ceilings = ()
     if args.ceilings:
-        raw = json.loads(Path(args.ceilings).read_text(encoding="utf-8"))
-        try:
-            ceilings = tuple(Ceiling(**c) for c in raw)
-        except TypeError as exc:
-            raise SchemaError(f"ceilings file: {exc}") from None
+        ceilings = tuple(Ceiling.from_dict(c, args.lenient)
+                         for c in _read_array(args.ceilings, "ceilings"))
     model = build_model(system, RooflineMode(args.mode), ceilings,
                         precision=PrecisionMode(args.precision))
     points = []
     if args.points:
-        raw = json.loads(Path(args.points).read_text(encoding="utf-8"))
-        for entry in raw:
+        for entry in _read_array(args.points, "points"):
+            if not _is_mapping(entry):
+                raise SchemaError(f"point entries must be objects: {entry!r}")
             try:
                 points.append(RooflinePoint.from_traffic(
                     label=entry["label"], flops_total=entry["flops_total"],
@@ -293,7 +307,7 @@ def _cmd_report(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hpcbench",
         description="Benchmarking analytics for HPC AI systems")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -335,7 +349,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True, help="system config JSON")
     p.add_argument("--mode", choices=("single_node", "distributed"),
                    default="distributed")
-    p.add_argument("--precision", default="fp32")
+    p.add_argument("--precision", default="fp32",
+                   choices=[m.value for m in PrecisionMode])
     p.add_argument("--ceilings", help="JSON list of measured ceilings")
     p.add_argument("--points", help="JSON list of points to place")
     p.add_argument("--out-csv")

@@ -14,12 +14,13 @@ Because they are frozen, records parsed by one
 """
 
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import cache
 import json
 import math
-from typing import Any, Optional
+import re
+from typing import Any, Optional, get_args, get_origin, get_type_hints
 
 from .errors import MissingPrecision, ParseError, SchemaError
 
@@ -84,6 +85,14 @@ def _num(value: Any, name: str) -> float:
     return float(value)
 
 
+def _int(value: Any, name: str, minimum: int) -> int:
+    """``value`` if it is an integer (not a ``bool``) ``>= minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise SchemaError(f"{name} must be an integer >= {minimum}, "
+                          f"got {value!r}")
+    return value
+
+
 def _coerce(enum: type, value: Any):
     """``enum(value)``, without the enum call when ``value`` is a member."""
     return value if type(value) is enum else enum(value)
@@ -107,15 +116,108 @@ def _check_known_fields(data: Mapping[str, Any], cls, lenient: bool) -> dict:
     return {k: v for k, v in data.items() if k in known}
 
 
-def _construct(cls, kwargs: dict):
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:  # missing required fields
-        raise SchemaError(f"{cls.__name__}: {exc}") from None
+# -- the JSON codec -----------------------------------------------------
+
+_NESTED, _ENUM, _ENUM_KEYS = "nested", "enum", "enum keys"
+
+
+def _is_enum(tp) -> bool:
+    return isinstance(tp, type) and issubclass(tp, Enum)
+
+
+@cache
+def _field_order(cls) -> tuple:
+    return tuple(f.name for f in fields(cls))
+
+
+@cache
+def _plan(cls) -> tuple:
+    """The decode plan of ``cls``: ``(field, case, type)`` for each field
+    whose JSON value is built before construction, read from the type
+    hints.  A nested dataclass is built from an object, an enum is
+    coerced from its value, and a mapping keyed by an enum has its keys
+    coerced; any other value reaches ``__post_init__`` as decoded."""
+    hints = get_type_hints(cls)
+    plan = []
+    for name in _field_order(cls):
+        tp = hints[name]
+        if isinstance(tp, type) and is_dataclass(tp):
+            plan.append((name, _NESTED, tp))
+        elif _is_enum(tp):
+            plan.append((name, _ENUM, tp))
+        elif get_origin(tp) is Mapping and _is_enum(get_args(tp)[0]):
+            plan.append((name, _ENUM_KEYS, get_args(tp)[0]))
+    return tuple(plan)
+
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _encode(value: Any) -> Any:
+    if type(value) in _SCALARS:
+        return value
+    if isinstance(value, JsonCodec):
+        return value.to_dict()
+    if isinstance(value, Enum):
+        return value.value
+    if _is_mapping(value):
+        return {_encode(k): _encode(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    return value
+
+
+class JsonCodec:
+    """JSON encoding and decoding of a dataclass, driven by its fields.
+
+    ``to_dict`` writes the fields in declaration order and enums as
+    their values.  ``from_dict`` rejects unknown fields unless
+    ``lenient`` and builds the fields named by the class's plan (see
+    :func:`_plan`); every failure is a
+    :class:`~hpcbench.errors.SchemaError`.
+    """
+
+    def to_dict(self) -> dict:
+        return {name: _encode(getattr(self, name))
+                for name in _field_order(type(self))}
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any], lenient: bool = False, *,
+                  _intern: Optional[dict] = None):
+        """Build an instance from decoded JSON.
+
+        ``_intern`` is the table :func:`loads` passes for one ingest:
+        a valid ``workload`` or ``system`` is built once per distinct
+        sub-document and reused, see :func:`_interned`.
+        """
+        if not _is_mapping(data):
+            raise SchemaError(f"{cls.__name__} must be an object")
+        kwargs = _check_known_fields(data, cls, lenient)
+        for name, case, tp in _plan(cls):
+            if name not in kwargs:
+                continue  # the constructor reports a missing field
+            raw = kwargs[name]
+            if case is not _ENUM and not _is_mapping(raw):
+                raise SchemaError(f"{name} must be an object")
+            if case is _NESTED:
+                kwargs[name] = _interned(_intern if tp in _SHARED else None,
+                                         tp, raw, lenient)
+                continue
+            try:
+                kwargs[name] = (_coerce(tp, raw) if case is _ENUM else
+                                {_coerce(tp, k): v for k, v in raw.items()})
+            except ValueError as exc:
+                # "PrecisionMode" -> "unknown precision mode in peak_flops"
+                what = re.sub(r"(?<=[a-z])(?=[A-Z])", " ", tp.__name__).lower()
+                raise SchemaError(f"unknown {what} in {name}: {exc}") from None
+        try:
+            return cls(**kwargs)
+        except TypeError as exc:  # missing required fields
+            raise SchemaError(f"{cls.__name__}: {exc}") from None
 
 
 @dataclass(frozen=True)
-class TargetQuality:
+class TargetQuality(JsonCodec):
     """Quality bar a run is scored against, as a fraction in (0, 1]."""
 
     metric: str
@@ -131,16 +233,9 @@ class TargetQuality:
                 "(percentages are rejected; write 0.763, not 76.3)")
         object.__setattr__(self, "value", v)
 
-    def to_dict(self) -> dict:
-        return {"metric": self.metric, "value": self.value}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any], lenient: bool = False):
-        return _construct(cls, _check_known_fields(data, cls, lenient))
-
 
 @dataclass(frozen=True)
-class AcceleratorSpec:
+class AcceleratorSpec(JsonCodec):
     """One AI accelerator: peak rates per precision plus local memory."""
 
     name: str
@@ -172,29 +267,9 @@ class AcceleratorSpec:
                 f"{getattr(precision, 'value', precision)}"
             ) from None
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "peak_flops": {m.value: v for m, v in self.peak_flops.items()},
-            "memory_bandwidth": self.memory_bandwidth,
-            "memory_capacity": self.memory_capacity,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any], lenient: bool = False):
-        kwargs = _check_known_fields(data, cls, lenient)
-        raw = kwargs.get("peak_flops")
-        if not _is_mapping(raw):
-            raise SchemaError("peak_flops must be a mapping of precision to FLOPS")
-        try:
-            kwargs["peak_flops"] = {PrecisionMode(k): v for k, v in raw.items()}
-        except ValueError as exc:
-            raise SchemaError(f"unknown precision mode in peak_flops: {exc}") from None
-        return _construct(cls, kwargs)
-
 
 @dataclass(frozen=True)
-class NodeSpec:
+class NodeSpec(JsonCodec):
     """One node of the system: accelerators and their interconnect."""
 
     accelerators_per_node: int
@@ -204,35 +279,15 @@ class NodeSpec:
     storage: float               # bytes
 
     def __post_init__(self):
-        _require(isinstance(self.accelerators_per_node, int)
-                 and self.accelerators_per_node >= 1,
-                 "accelerators_per_node must be an integer >= 1")
+        _int(self.accelerators_per_node, "accelerators_per_node", 1)
         _require(_num(self.intra_node_bandwidth, "intra_node_bandwidth") > 0,
                  "intra_node_bandwidth must be positive")
         _num(self.system_memory, "system_memory")
         _num(self.storage, "storage")
 
-    def to_dict(self) -> dict:
-        return {
-            "accelerators_per_node": self.accelerators_per_node,
-            "accelerator": self.accelerator.to_dict(),
-            "intra_node_bandwidth": self.intra_node_bandwidth,
-            "system_memory": self.system_memory,
-            "storage": self.storage,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any], lenient: bool = False):
-        kwargs = _check_known_fields(data, cls, lenient)
-        acc = kwargs.get("accelerator")
-        if not _is_mapping(acc):
-            raise SchemaError("accelerator must be an object")
-        kwargs["accelerator"] = AcceleratorSpec.from_dict(acc, lenient)
-        return _construct(cls, kwargs)
-
 
 @dataclass(frozen=True)
-class SystemConfig:
+class SystemConfig(JsonCodec):
     """Hardware description of the system under test.
 
     Bandwidths are bytes/s.  ``inter_node_bandwidth_effective`` is the
@@ -247,8 +302,7 @@ class SystemConfig:
     inter_node_bandwidth_effective: Optional[float] = None
 
     def __post_init__(self):
-        _require(isinstance(self.num_nodes, int) and self.num_nodes >= 1,
-                 "num_nodes must be an integer >= 1")
+        _int(self.num_nodes, "num_nodes", 1)
         nominal = _num(self.inter_node_bandwidth_nominal,
                        "inter_node_bandwidth_nominal")
         _require(nominal > 0, "inter_node_bandwidth_nominal must be positive")
@@ -263,64 +317,40 @@ class SystemConfig:
     def total_accelerators(self) -> int:
         return self.num_nodes * self.node.accelerators_per_node
 
-    def to_dict(self) -> dict:
-        return {
-            "num_nodes": self.num_nodes,
-            "node": self.node.to_dict(),
-            "inter_node_bandwidth_nominal": self.inter_node_bandwidth_nominal,
-            "inter_node_bandwidth_effective": self.inter_node_bandwidth_effective,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any], lenient: bool = False):
-        kwargs = _check_known_fields(data, cls, lenient)
-        node = kwargs.get("node")
-        if not _is_mapping(node):
-            raise SchemaError("node must be an object")
-        kwargs["node"] = NodeSpec.from_dict(node, lenient)
-        return _construct(cls, kwargs)
-
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(JsonCodec):
     """Benchmark definition: per-sample work, gradient size, quality bar.
 
     ``comp_per_step`` and ``comm_per_step`` describe one training step of
     one rank at the reference per-rank batch: FLOPs of compute and the
     number of parameters exchanged.  ``bytes_per_param`` defaults to 4
-    (single-precision gradients) and is declarable per workload.
+    (single-precision gradients) and is declarable per workload.  The
+    three fields with defaults are keyword-only.
     """
 
     name: str
     flops_per_sample: float      # FLOPs, work per sample (not a rate)
     params_count: int
+    bytes_per_param: int = field(default=4, kw_only=True)
+    comp_per_step: float = field(default=0.0, kw_only=True)
+    comm_per_step: int = field(default=0, kw_only=True)
     target_quality: TargetQuality
     quality_exponent_n: int
     epochs: int
     dataset_samples: int
     min_runs: int
-    comp_per_step: float = 0.0   # FLOPs per rank per step
-    comm_per_step: int = 0       # parameters exchanged per step
-    bytes_per_param: int = 4
 
     def __post_init__(self):
         _require(isinstance(self.name, str) and self.name != "",
                  "workload name must be a non-empty string")
         _require(_num(self.flops_per_sample, "flops_per_sample") > 0,
                  "flops_per_sample must be positive")
-        _require(isinstance(self.quality_exponent_n, int)
-                 and self.quality_exponent_n >= 1,
-                 "quality_exponent_n must be an integer >= 1")
-        _require(isinstance(self.min_runs, int) and self.min_runs >= 1,
-                 "min_runs must be an integer >= 1")
-        _require(isinstance(self.epochs, int) and self.epochs >= 1,
-                 "epochs must be an integer >= 1")
-        _require(isinstance(self.dataset_samples, int) and self.dataset_samples >= 1,
-                 "dataset_samples must be an integer >= 1")
+        for name in ("quality_exponent_n", "min_runs", "epochs",
+                     "dataset_samples"):
+            _int(getattr(self, name), name, 1)
         for name in ("params_count", "comm_per_step", "bytes_per_param"):
-            value = getattr(self, name)
-            if not (isinstance(value, int) and value >= 0):
-                raise SchemaError(f"{name} must be a non-negative integer")
+            _int(getattr(self, name), name, 0)
         _require(_num(self.comp_per_step, "comp_per_step") >= 0,
                  "comp_per_step must be non-negative")
 
@@ -328,30 +358,6 @@ class WorkloadSpec:
     def gradient_bytes(self) -> int:
         """Size of one rank's gradient message in bytes."""
         return self.params_count * self.bytes_per_param
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "flops_per_sample": self.flops_per_sample,
-            "params_count": self.params_count,
-            "bytes_per_param": self.bytes_per_param,
-            "comp_per_step": self.comp_per_step,
-            "comm_per_step": self.comm_per_step,
-            "target_quality": self.target_quality.to_dict(),
-            "quality_exponent_n": self.quality_exponent_n,
-            "epochs": self.epochs,
-            "dataset_samples": self.dataset_samples,
-            "min_runs": self.min_runs,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any], lenient: bool = False):
-        kwargs = _check_known_fields(data, cls, lenient)
-        tq = kwargs.get("target_quality")
-        if not _is_mapping(tq):
-            raise SchemaError("target_quality must be an object")
-        kwargs["target_quality"] = TargetQuality.from_dict(tq, lenient)
-        return _construct(cls, kwargs)
 
 
 #: 1-based layer indices of the nine-layer system decomposition.
@@ -369,7 +375,7 @@ LAYER_NAMES = {
 
 
 @dataclass(frozen=True)
-class NineLayerDeclaration:
+class NineLayerDeclaration(JsonCodec):
     """Full-stack declaration of a run, one key/value map per layer.
 
     Layers, bottom up: 1 hardware, 2 OS, 3 communication libraries,
@@ -408,20 +414,9 @@ class NineLayerDeclaration:
     def sync_mode(self) -> Any:
         return self.layer(6).get("sync_mode")
 
-    def to_dict(self) -> dict:
-        return {"layers": [dict(layer) for layer in self.layers]}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any], lenient: bool = False):
-        kwargs = _check_known_fields(data, cls, lenient)
-        layers = kwargs.get("layers")
-        if not isinstance(layers, (list, tuple)):
-            raise SchemaError("layers must be an array of nine objects")
-        return cls(layers=tuple(layers))
-
 
 @dataclass(frozen=True)
-class RunRecord:
+class RunRecord(JsonCodec):
     """One benchmarking trial.
 
     ``wall_time`` is the time-to-quality clock: it starts when the
@@ -452,15 +447,12 @@ class RunRecord:
         q = _num(self.achieved_quality, "achieved_quality")
         if not 0.0 <= q <= 1.0:
             raise SchemaError(f"achieved_quality must be in [0, 1], got {q}")
-        _require(isinstance(self.scale, int) and self.scale >= 1,
-                 "scale must be an integer >= 1")
+        _int(self.scale, "scale", 1)
         if self.scale > self.system.total_accelerators:
             raise SchemaError(f"scale {self.scale} exceeds the system's "
                               f"{self.system.total_accelerators} accelerators")
-        _require(isinstance(self.num_ranks, int) and self.num_ranks >= 1,
-                 "num_ranks must be an integer >= 1")
-        _require(isinstance(self.global_batchsize, int) and self.global_batchsize >= 1,
-                 "global_batchsize must be an integer >= 1")
+        _int(self.num_ranks, "num_ranks", 1)
+        _int(self.global_batchsize, "global_batchsize", 1)
         _require(_num(self.epochs_to_quality, "epochs_to_quality") > 0,
                  "epochs_to_quality must be positive")
         _require(_num(self.samples_per_second_per_rank,
@@ -473,48 +465,9 @@ class RunRecord:
                            _coerce(PrecisionMode, self.precision))
         object.__setattr__(self, "level", _coerce(BenchLevel, self.level))
 
-    def to_dict(self) -> dict:
-        doc = {
-            "run_id": self.run_id,
-            "workload": self.workload.to_dict(),
-            "system": self.system.to_dict(),
-            "scale": self.scale,
-            "precision": self.precision.value,
-            "global_batchsize": self.global_batchsize,
-            "achieved_quality": self.achieved_quality,
-            "wall_time": self.wall_time,
-            "epochs_to_quality": self.epochs_to_quality,
-            "samples_per_second_per_rank": self.samples_per_second_per_rank,
-            "num_ranks": self.num_ranks,
-            "level": self.level.value,
-            "declaration": self.declaration.to_dict(),
-            "average_power": self.average_power,
-        }
-        return doc
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any], lenient: bool = False, *,
-                  _intern: Optional[dict] = None):
-        """Build a record from decoded JSON.
-
-        ``_intern`` is the table :func:`loads` passes for one ingest:
-        a valid ``workload`` or ``system`` is built once per distinct
-        sub-document and reused, see :func:`_interned`.
-        """
-        kwargs = _check_known_fields(data, cls, lenient)
-        for name, sub, table in (("workload", WorkloadSpec, _intern),
-                                 ("system", SystemConfig, _intern),
-                                 ("declaration", NineLayerDeclaration, None)):
-            raw = kwargs.get(name)
-            if not _is_mapping(raw):
-                raise SchemaError(f"{name} must be an object")
-            kwargs[name] = _interned(table, sub, raw, lenient)
-        try:
-            kwargs["precision"] = PrecisionMode(kwargs.get("precision"))
-            kwargs["level"] = BenchLevel(kwargs.get("level"))
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from None
-        return _construct(cls, kwargs)
+#: Sub-documents of a run that one ingest may share between records.
+_SHARED = (WorkloadSpec, SystemConfig)
 
 
 def _interned(table: Optional[dict], cls, raw: Mapping[str, Any],
@@ -582,9 +535,7 @@ def loads(text: str, kind: str, lenient: bool = False, path=None, *,
         cls = _TYPE_BY_KIND[kind]
     except KeyError:
         raise ValueError(f"unknown document kind {kind!r}") from None
-    if cls is RunRecord:
-        return cls.from_dict(data, lenient=lenient, _intern=_intern)
-    return cls.from_dict(data, lenient=lenient)
+    return cls.from_dict(data, lenient, _intern=_intern)
 
 
 def dumps(obj, indent: int = 2) -> str:

@@ -11,10 +11,10 @@ per sample.
 Every function here is pure: same inputs give bit-identical outputs.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import RunRecord, WorkloadSpec
+from .core import JsonCodec, RunRecord, WorkloadSpec
 from .errors import (
     DegenerateComm,
     DegenerateTarget,
@@ -141,7 +141,7 @@ def parallel_efficiency(baseline_throughput: float, baseline_scale: int,
 
 
 @dataclass(frozen=True)
-class Score:
+class Score(JsonCodec):
     """Scores of one run: FLOPS, VFLOPS, optional VFLOPS/W, time, penalty.
 
     ``vflops_per_watt`` is present exactly when power was recorded.
@@ -149,9 +149,9 @@ class Score:
 
     flops: float
     vflops: float
+    vflops_per_watt: Optional[float] = field(default=None, kw_only=True)
     time_to_quality: float
     penalty: float
-    vflops_per_watt: Optional[float] = None
 
 
 def score_run(run: RunRecord, workload: Optional[WorkloadSpec] = None) -> Score:

@@ -11,10 +11,16 @@ guessed.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from .core import NineLayerDeclaration, RunRecord, SystemConfig, WorkloadSpec
+from .core import (
+    JsonCodec,
+    NineLayerDeclaration,
+    RunRecord,
+    SystemConfig,
+    WorkloadSpec,
+)
 from .errors import IncomparableWorkloads, IncompleteReport
 from .metrics import Score, score_run
 from .rules import AggregateResult, Violation
@@ -26,7 +32,7 @@ _NOT_MEASURED = "not measured"
 
 
 @dataclass(frozen=True)
-class RankingRow:
+class RankingRow(JsonCodec):
     rank: int
     label: str
     run_id: str
@@ -34,20 +40,10 @@ class RankingRow:
     precision: str
     flops: float
     vflops: float
+    vflops_per_watt: Optional[float] = field(default=None, kw_only=True)
     time_to_quality: float
     rule_status: str           # "CLEAN" or "VIOLATIONS(n)"
     eligible: bool
-    vflops_per_watt: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "rank": self.rank, "label": self.label, "run_id": self.run_id,
-            "scale": self.scale, "precision": self.precision,
-            "flops": self.flops, "vflops": self.vflops,
-            "vflops_per_watt": self.vflops_per_watt,
-            "time_to_quality": self.time_to_quality,
-            "rule_status": self.rule_status, "eligible": self.eligible,
-        }
 
 
 def rank(runs: Sequence[RunRecord], workload: Optional[WorkloadSpec] = None,

@@ -27,9 +27,15 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Optional, Sequence, Union
 
-import numpy as np
-
-from .core import PrecisionMode, RunRecord, SystemConfig, WorkloadSpec, derive_peaks
+from .core import (
+    JsonCodec,
+    PrecisionMode,
+    RunRecord,
+    SystemConfig,
+    WorkloadSpec,
+    _num,
+    derive_peaks,
+)
 from .errors import (
     CeilingAbovePeak,
     DegenerateBand,
@@ -79,7 +85,7 @@ class CeilingKind(str, Enum):
 
 
 @dataclass(frozen=True)
-class Ceiling:
+class Ceiling(JsonCodec):
     """A measured sub-peak bound layered under (or beside) the roof."""
 
     name: str
@@ -89,7 +95,7 @@ class Ceiling:
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:
             raise SchemaError("ceiling name must be a non-empty string")
-        if self.value <= 0:
+        if _num(self.value, f"ceiling {self.name!r} value") <= 0:
             raise SchemaError(f"ceiling {self.name!r} must be positive")
         object.__setattr__(self, "kind", CeilingKind(self.kind))
 
@@ -125,9 +131,9 @@ class RooflineModel:
 
     def __post_init__(self):
         object.__setattr__(self, "mode", RooflineMode(self.mode))
-        if self.peak_flops <= 0:
+        if _num(self.peak_flops, "peak_flops") <= 0:
             raise SchemaError("peak_flops must be positive")
-        if self.peak_band <= 0:
+        if _num(self.peak_band, "peak_band") <= 0:
             raise DegenerateBand("peak_band must be positive")
         seen = set()
         for c in self.ceilings:
@@ -171,6 +177,8 @@ class RooflinePoint:
     @classmethod
     def from_traffic(cls, label: str, flops_total: float, comm_traffic: float,
                      attained: Optional[float] = None) -> "RooflinePoint":
+        if attained is not None:
+            _num(attained, "attained")
         return cls(label=label, flops_total=flops_total,
                    comm_traffic=comm_traffic,
                    coi=coi(flops_total, comm_traffic), attained=attained)
@@ -182,7 +190,8 @@ def coi(flops_total: float, comm_traffic: float) -> float:
     Zero traffic yields :data:`INFINITE_COI` (the point renders on the
     flat roof) rather than an error.
     """
-    if flops_total < 0 or comm_traffic < 0:
+    if (_num(flops_total, "flops_total") < 0
+            or _num(comm_traffic, "comm_traffic") < 0):
         raise SchemaError("flops and traffic must be non-negative")
     if comm_traffic == 0:
         return INFINITE_COI
@@ -402,10 +411,12 @@ class PlotArtifact:
     svg: str
 
 
-def _coi_grid(model: RooflineModel, samples: int) -> np.ndarray:
-    # Span [1, 10 * ridge] so the kink is always inside the frame.
-    hi = max(10.0 * model.ridge, 10.0)
-    return np.logspace(0.0, math.log10(hi), samples)
+def _coi_grid(model: RooflineModel, samples: int) -> list[float]:
+    # Span [1, 10 * ridge] so the kink is always inside the frame, in
+    # equal steps of the exponent; the last point is exactly the top.
+    top = math.log10(max(10.0 * model.ridge, 10.0))
+    step = top / (samples - 1)
+    return [10.0 ** (i * step) for i in range(samples - 1)] + [10.0 ** top]
 
 
 def export_plot(model: Optional[RooflineModel],
@@ -455,7 +466,7 @@ _SERIES_COLORS = ["#888888", "#c0392b", "#2980b9", "#27ae60", "#8e44ad",
 
 def _render_svg(model, points, grid, columns) -> str:
     finite_points = [p for p in points if not math.isinf(p.coi)]
-    xs = [float(grid[0]), float(grid[-1])]
+    xs = [grid[0], grid[-1]]
     ys = [v for series in columns.values() for v in series]
     for p in finite_points:
         xs.append(p.coi)

@@ -26,9 +26,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
-import numpy as np
-
-from .core import BenchLevel, NineLayerDeclaration, RunRecord, WorkloadSpec
+from .core import (
+    BenchLevel,
+    JsonCodec,
+    NineLayerDeclaration,
+    RunRecord,
+    WorkloadSpec,
+)
 from .errors import (
     IncomparableWorkloads,
     InsufficientRuns,
@@ -66,7 +70,7 @@ class Severity(str, Enum):
 
 
 @dataclass(frozen=True)
-class Violation:
+class Violation(JsonCodec):
     """One rule breach located at a layer/key."""
 
     layer: int
@@ -77,10 +81,6 @@ class Violation:
     def __post_init__(self):
         if not (1 <= self.layer <= 9):
             raise SchemaError("violation layer must be in [1, 9]")
-
-    def to_dict(self) -> dict:
-        return {"layer": self.layer, "key": self.key,
-                "severity": self.severity.value, "message": self.message}
 
 
 #: Marker meaning every key of the layer may change.
@@ -297,12 +297,16 @@ def lr_schedule(base_lr: float, k: float, warmup_epochs: int,
                                 total_epochs=total_epochs, decay=Decay(decay))
 
 
+def _mean(values: Sequence[float]) -> float:
+    return math.fsum(values) / len(values)
+
+
 def _variation(values: Sequence[float]) -> float:
-    arr = np.asarray(values, dtype=float)
-    mean = float(arr.mean())
+    mean = _mean(values)
     if mean == 0:
         return 0.0
-    return float(arr.std(ddof=0)) / mean  # population stddev over mean
+    # population standard deviation over the mean
+    return math.sqrt(_mean([(v - mean) ** 2 for v in values])) / mean
 
 
 @dataclass(frozen=True)
@@ -338,16 +342,14 @@ def aggregate_runs(runs: Sequence[RunRecord],
 
     scores = {r.run_id: score_run(r, workload) for r in retained}
     mean_scores = {
-        "flops": float(np.mean([s.flops for s in scores.values()])),
-        "vflops": float(np.mean([s.vflops for s in scores.values()])),
-        "time_to_quality": float(np.mean([s.time_to_quality
-                                          for s in scores.values()])),
-        "epochs_to_quality": float(np.mean([r.epochs_to_quality
-                                            for r in retained])),
+        "flops": _mean([s.flops for s in scores.values()]),
+        "vflops": _mean([s.vflops for s in scores.values()]),
+        "time_to_quality": _mean([s.time_to_quality for s in scores.values()]),
+        "epochs_to_quality": _mean([r.epochs_to_quality for r in retained]),
     }
     per_watt = [s.vflops_per_watt for s in scores.values()]
     if all(v is not None for v in per_watt):
-        mean_scores["vflops_per_watt"] = float(np.mean(per_watt))
+        mean_scores["vflops_per_watt"] = _mean(per_watt)
 
     return AggregateResult(
         retained_runs=retained,
@@ -394,7 +396,7 @@ def repeatability_report(runs: Sequence[RunRecord]) -> RepeatabilityReport:
                 f"run {other.run_id!r} is not configured like {head.run_id!r}")
     epochs = [r.epochs_to_quality for r in runs]
     return RepeatabilityReport(
-        mean_epochs_to_quality=float(np.mean(epochs)),
+        mean_epochs_to_quality=_mean(epochs),
         variation=_variation(epochs),
         runs=tuple(runs),
     )

@@ -26,21 +26,27 @@ import io
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 from .core import (
     BenchLevel,
+    JsonCodec,
     NineLayerDeclaration,
     PrecisionMode,
     RunRecord,
     SystemConfig,
     WorkloadSpec,
+    _int,
+    _is_mapping,
     _num,
+    _require,
+    dumps,
 )
 from .errors import BatchShardError, DegenerateBand, SchemaError
+from .store import _check_name, _write_atomic
 
 __all__ = [
     "TopologyKind",
@@ -70,7 +76,7 @@ class TopologyKind(str, Enum):
 
 
 @dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(JsonCodec):
     """Allreduce topology plus its latency parameters.
 
     ``groups`` only applies to the hierarchical ring and must divide the
@@ -83,10 +89,9 @@ class TopologySpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", TopologyKind(self.kind))
-        if self.per_message_latency < 0:
+        if _num(self.per_message_latency, "per_message_latency") < 0:
             raise SchemaError("per_message_latency must be non-negative")
-        if self.groups < 1:
-            raise SchemaError("groups must be >= 1")
+        _int(self.groups, "groups", 1)
 
     @classmethod
     def ring(cls, latency: float = 0.0) -> "TopologySpec":
@@ -100,7 +105,7 @@ class OverlapModel:
     alpha: float
 
     def __post_init__(self):
-        if not (0.0 <= self.alpha <= 1.0):
+        if not (0.0 <= _num(self.alpha, "alpha") <= 1.0):
             raise SchemaError(f"alpha must be in [0, 1], got {self.alpha}")
 
 
@@ -174,7 +179,7 @@ def step_time(compute: float, comm: float, overlap: OverlapModel) -> float:
 
 
 @dataclass(frozen=True)
-class PhaseTimeline:
+class PhaseTimeline(JsonCodec):
     """Per-step communication wall time split into seven phases."""
 
     negotiation: float
@@ -186,30 +191,18 @@ class PhaseTimeline:
     memcpy_out: float
 
     def __post_init__(self):
-        for name in ("negotiation", "wait_for_data", "wait_for_other_data",
-                     "queuing", "memcpy_in", "allreduce", "memcpy_out"):
-            if getattr(self, name) < 0:
-                raise SchemaError(f"phase {name} must be non-negative")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise SchemaError(f"phase {f.name} must be non-negative")
 
     def total(self) -> float:
         return (self.negotiation + self.wait_for_data
                 + self.wait_for_other_data + self.queuing
                 + self.memcpy_in + self.allreduce + self.memcpy_out)
 
-    def to_dict(self) -> dict:
-        return {
-            "negotiation": self.negotiation,
-            "wait_for_data": self.wait_for_data,
-            "wait_for_other_data": self.wait_for_other_data,
-            "queuing": self.queuing,
-            "memcpy_in": self.memcpy_in,
-            "allreduce": self.allreduce,
-            "memcpy_out": self.memcpy_out,
-        }
-
 
 @dataclass(frozen=True)
-class SimulationOptions:
+class SimulationOptions(JsonCodec):
     """Scenario knobs the model never invents on its own.
 
     ``achieved_quality`` is mandatory: quality is a measured property of
@@ -235,16 +228,19 @@ class SimulationOptions:
     extra_declaration: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (0.0 <= self.achieved_quality <= 1.0):
+        if not (0.0 <= _num(self.achieved_quality, "achieved_quality") <= 1.0):
             raise SchemaError("achieved_quality must be declared in [0, 1]")
-        if not (0.0 < self.compute_efficiency <= 1.0):
+        if not (0.0 < _num(self.compute_efficiency, "compute_efficiency") <= 1.0):
             raise SchemaError("compute_efficiency must be in (0, 1]")
         if _num(self.compress_factor, "compress_factor") < 1.0:
             raise SchemaError("compress_factor must be >= 1")
         if _num(self.negotiation_skew, "negotiation_skew") < 0:
             raise SchemaError("negotiation_skew must be non-negative")
-        if self.gradient_tensors < 1:
-            raise SchemaError("gradient_tensors must be >= 1")
+        _int(self.gradient_tensors, "gradient_tensors", 1)
+        if self.baseline_scale is not None:
+            _int(self.baseline_scale, "baseline_scale", 1)
+        if self.epochs_to_quality is not None:
+            _num(self.epochs_to_quality, "epochs_to_quality")
 
 
 @dataclass(frozen=True)
@@ -469,49 +465,47 @@ def run_scenario(scenario, out_dir=None) -> list[SimulationResult]:
     Per-scale option overrides may be given as ``options_by_scale``
     keyed by the scale as a string.  When ``out_dir`` is set, one run
     record JSON per scale plus a ``sweep.csv`` summary are written
-    there.
+    there; run ids must be safe file names, as in the results store.
     """
     if not isinstance(scenario, dict):
-        text = Path(scenario).read_text(encoding="utf-8")
-        scenario = json.loads(text)
-
-    if "system" not in scenario or "workload" not in scenario:
+        scenario = json.loads(Path(scenario).read_text(encoding="utf-8"))
+    if (not _is_mapping(scenario) or "system" not in scenario
+            or "workload" not in scenario):
         raise SchemaError("scenario needs 'system' and 'workload' objects")
     system = SystemConfig.from_dict(scenario["system"])
     workload = WorkloadSpec.from_dict(scenario["workload"])
     sweep = scenario.get("sweep")
-    if not sweep:
+    if not sweep or not isinstance(sweep, (list, tuple)):
         raise SchemaError("scenario must list at least one scale in 'sweep'")
-    per_rank_batch = int(scenario.get("per_rank_batch", 1))
+    per_rank_batch = _int(scenario.get("per_rank_batch", 1), "per_rank_batch", 1)
     try:
         precision = PrecisionMode(scenario.get("precision", "fp32"))
-        topology = TopologySpec(**scenario.get("topology", {"kind": "ring"}))
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"scenario topology/precision: {exc}") from None
-    overlap = OverlapModel(alpha=float(scenario.get("alpha", 1.0)))
-    base_options = dict(scenario.get("options", {}))
+    except ValueError as exc:
+        raise SchemaError(f"scenario precision: {exc}") from None
+    topology = TopologySpec.from_dict(scenario.get("topology", {"kind": "ring"}))
+    overlap = OverlapModel(alpha=scenario.get("alpha", 1.0))
+    base_options = scenario.get("options", {})
     by_scale = scenario.get("options_by_scale", {})
+    _require(_is_mapping(base_options) and _is_mapping(by_scale),
+             "scenario options and options_by_scale must be objects")
 
     results = []
     for scale in sweep:
-        merged = dict(base_options)
-        merged.update(by_scale.get(str(scale), {}))
-        try:
-            if "level" in merged:
-                merged["level"] = BenchLevel(merged["level"])
-            options = SimulationOptions(**merged)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"scenario options: {exc}") from None
+        scale = _int(scale, "sweep scale", 1)
+        override = by_scale.get(str(scale), {})
+        _require(_is_mapping(override),
+                 f"scenario options_by_scale[{scale}] must be an object")
+        options = SimulationOptions.from_dict({**base_options, **override})
         results.append(simulate_training(
-            system, workload, int(scale), per_rank_batch * int(scale),
+            system, workload, scale, per_rank_batch * scale,
             precision, topology, overlap, options))
 
     if out_dir is not None:
+        for r in results:
+            _check_name(r.run.run_id, "run_id")
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for r in results:
-            path = out / f"{r.run.run_id}.json"
-            path.write_text(json.dumps(r.run.to_dict(), indent=2) + "\n",
-                            encoding="utf-8")
-        (out / "sweep.csv").write_text(sweep_csv(results), encoding="utf-8")
+            _write_atomic(out / f"{r.run.run_id}.json", dumps(r.run) + "\n")
+        _write_atomic(out / "sweep.csv", sweep_csv(results))
     return results

@@ -25,22 +25,19 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .core import RunRecord, loads
+from .core import JsonCodec, RunRecord, loads
 from .errors import BenchError, DuplicateRun, ParseError, SchemaError
 
 __all__ = ["Diagnostic", "IngestResult", "ingest", "ResultsStore"]
 
 
 @dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(JsonCodec):
     """One rejected document and the reason."""
 
     path: str
     error: str
     kind: str  # "parse" or "schema"
-
-    def to_dict(self) -> dict:
-        return {"path": self.path, "error": self.error, "kind": self.kind}
 
 
 @dataclass(frozen=True)
@@ -54,11 +51,19 @@ class IngestResult:
 
 
 def _json_files(path: Path) -> list[Path]:
-    if path.is_dir():
-        return sorted((p for p in path.rglob("*.json")
-                       if not p.name.startswith(".")),
-                      key=lambda p: p.parts)
-    return [path]
+    """The ``.json`` files under ``path``, skipping any whose path below
+    ``path`` has a hidden component (``.trash/r1.json``, ``.r1.tmp``).
+    Hidden directories are not descended into, nor are symbolic links to
+    directories."""
+    if not path.is_dir():
+        return [path]
+    found = []
+    for dirpath, dirnames, filenames in os.walk(path):
+        dirnames[:] = [d for d in dirnames if not d.startswith(".")]
+        base = Path(dirpath)
+        found.extend(base / name for name in filenames
+                     if name.endswith(".json") and not name.startswith("."))
+    return sorted(found, key=lambda p: p.parts)
 
 
 # Compiled on first use through the ``re`` cache, not at import.
@@ -176,10 +181,13 @@ class ResultsStore:
         _check_name(run.run_id, "run_id")
         return self.root / run.workload.name / f"{run.run_id}.json"
 
-    def _stored(self, run_id: str) -> bool:
+    def _stored(self, run_id: str, skip: Optional[str] = None) -> bool:
+        """Whether ``<run_id>.json`` exists in a workload directory other
+        than ``skip``."""
         name = f"{run_id}.json"
         with os.scandir(self.root) as entries:
-            return any(not entry.name.startswith(".") and entry.is_dir()
+            return any(not entry.name.startswith(".") and entry.name != skip
+                       and entry.is_dir()
                        and os.path.exists(os.path.join(entry.path, name))
                        for entry in entries)
 
@@ -190,12 +198,15 @@ class ResultsStore:
         workload directory, whoever wrote it; no record is read.  So a
         hand-placed file under another name is not seen here (``ingest``
         still reports it as a duplicate run_id), and a ``<run_id>.json``
-        counts as stored even if it cannot be parsed.
+        counts as stored even if it cannot be parsed.  ``overwrite``
+        replaces the record in the run's own workload directory only: an
+        id stored under another workload is still a duplicate.
         """
         target = self.path_for(run)
         self._acquire_lock()
         try:
-            if not overwrite and self._stored(run.run_id):
+            if self._stored(run.run_id,
+                            skip=run.workload.name if overwrite else None):
                 raise DuplicateRun(f"run_id {run.run_id!r} already stored")
             target.parent.mkdir(parents=True, exist_ok=True)
             _write_atomic(target, json.dumps(run.to_dict(), indent=2) + "\n")

@@ -43,6 +43,17 @@ class TestPipeline:
         assert len(doc["retained"]) == 8
         assert doc["mean_scores"]["vflops"] > 600e12
 
+    def test_json_key_order(self, ranking_store, capsys):
+        root = str(ranking_store["root"])
+        _, out, _ = run_cli(capsys, "score", "--store", root, "--format", "json")
+        assert list(json.loads(out)[0]) == [
+            "run_id", "flops", "vflops", "vflops_per_watt", "time_to_quality",
+            "penalty"]
+        _, out, _ = run_cli(capsys, "rank", "--store", root, "--format", "json")
+        assert list(json.loads(out)[0]) == [
+            "rank", "label", "run_id", "scale", "precision", "flops", "vflops",
+            "vflops_per_watt", "time_to_quality", "rule_status", "eligible"]
+
     def test_rank_top_row_is_mixed_64(self, ranking_store, capsys):
         code, out, _ = run_cli(
             capsys, "rank", "--store", str(ranking_store["root"]),
@@ -187,3 +198,64 @@ class TestSimulateCommand:
         assert [r["scale"] for r in rows] == [8, 16]
         assert (out_dir / "sweep.csv").exists()
         assert len(list(out_dir.glob("sim-*.json"))) == 2
+
+
+class TestHostileInputs:
+    """Bad input files and flags end in ``error: ...`` and exit 3."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        system_path = tmp_path / "system.json"
+        system_path.write_text(dumps(case_study_system()))
+        docs = {
+            "bad_kind": [{"name": "g", "kind": "gemm", "value": 1e12}],
+            "nan_ceiling": [{"name": "g", "kind": "computation",
+                             "value": float("nan")}],
+            "ceiling_object": {"name": "g", "kind": "computation",
+                               "value": 1e12},
+            "point_not_object": [5],
+            "point_not_number": [{"label": "a", "flops_total": "x",
+                                  "comm_traffic": 1.0}],
+        }
+        paths = {"system": str(system_path)}
+        for name, doc in docs.items():
+            paths[name] = str(tmp_path / f"{name}.json")
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        return paths
+
+    @pytest.mark.parametrize("flag, name", [
+        ("--ceilings", "bad_kind"),
+        ("--ceilings", "nan_ceiling"),
+        ("--ceilings", "ceiling_object"),
+        ("--points", "point_not_object"),
+        ("--points", "point_not_number"),
+    ])
+    def test_roofline_input_files(self, files, capsys, flag, name):
+        code, out, err = run_cli(capsys, "roofline", "--system",
+                                 files["system"], flag, files[name])
+        assert code == 3
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert out == ""
+
+    def test_unknown_precision_flag(self, files, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["roofline", "--system", files["system"],
+                  "--precision", "fp64"])
+        assert info.value.code == 3
+        assert "error: argument --precision" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("per_rank_batch", "abc"),
+        ("options", {"achieved_quality": 0.35, "run_id": "../escaped"}),
+    ])
+    def test_simulate_scenario_values(self, tmp_path, capsys, key, value):
+        scenario_path = write_scenario(tmp_path)
+        doc = json.loads(scenario_path.read_text())
+        doc[key] = value
+        scenario_path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out" / "records"
+        code, _, err = run_cli(capsys, "simulate", str(scenario_path),
+                               "--out", str(out_dir))
+        assert code == 3
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()

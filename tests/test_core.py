@@ -169,6 +169,44 @@ class TestStrictParsing:
             loads(json.dumps(doc), "system")
 
 
+class TestCodec:
+    def test_workload_key_order(self):
+        assert list(ewa_workload().to_dict()) == [
+            "name", "flops_per_sample", "params_count", "bytes_per_param",
+            "comp_per_step", "comm_per_step", "target_quality",
+            "quality_exponent_n", "epochs", "dataset_samples", "min_runs"]
+
+    @pytest.mark.parametrize("kind, path", [
+        ("system", ("num_nodes",)),
+        ("system", ("node", "accelerators_per_node")),
+        ("workload", ("epochs",)),
+        ("workload", ("bytes_per_param",)),
+        ("run", ("scale",)),
+        ("run", ("global_batchsize",)),
+    ])
+    def test_bool_is_not_an_integer(self, kind, path):
+        obj = {"system": case_study_system(), "workload": ewa_workload(),
+               "run": make_run(scale=1, global_batchsize=1)}[kind]
+        doc = json.loads(dumps(obj))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = True
+        with pytest.raises(SchemaError, match=path[-1]):
+            loads(json.dumps(doc), kind)
+
+    @pytest.mark.parametrize("value", [None, [1], "system", 3])
+    def test_non_object_document_rejected(self, value):
+        with pytest.raises(SchemaError, match="must be an object"):
+            SystemConfig.from_dict(value)
+
+    def test_bad_enum_names_its_field(self):
+        doc = json.loads(dumps(make_run()))
+        doc["level"] = "unlimited"
+        with pytest.raises(SchemaError, match="level: 'unlimited'"):
+            loads(json.dumps(doc), "run")
+
+
 class TestInterning:
     """``loads`` with one intern table, as ``ingest`` calls it."""
 

@@ -10,6 +10,7 @@ from hpcbench.errors import (
     IncompletePoint,
     InvalidTransform,
     NothingToPlot,
+    SchemaError,
     UnknownCeiling,
 )
 from hpcbench.presets import (
@@ -89,6 +90,32 @@ class TestCoi:
         got = coi(p * 691 * GIGA, traffic)
         assert got == pytest.approx(2107, rel=1e-3)
         assert traffic == pytest.approx(2 * (p - 1) * message, rel=1e-12)
+
+
+class TestNumericInputs:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "1e12", True])
+    def test_ceiling_value(self, value):
+        with pytest.raises(SchemaError, match="value"):
+            Ceiling("c", CeilingKind.COMPUTATION, value)
+
+    @pytest.mark.parametrize("field", ["peak_flops", "peak_band"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "1e12"])
+    def test_model_peaks(self, field, value):
+        kwargs = {"peak_flops": 1e15, "peak_band": 1e9, field: value}
+        with pytest.raises(SchemaError, match=field):
+            RooflineModel(mode=RooflineMode.DISTRIBUTED, **kwargs)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"flops_total": "1e9"}, "flops_total"),
+        ({"comm_traffic": math.nan}, "comm_traffic"),
+        ({"attained": "fast"}, "attained"),
+        ({"attained": math.nan}, "attained"),
+    ])
+    def test_point_inputs(self, kwargs, name):
+        point = {"label": "p", "flops_total": 1e9, "comm_traffic": 1e6,
+                 **kwargs}
+        with pytest.raises(SchemaError, match=name):
+            RooflinePoint.from_traffic(**point)
 
 
 class TestRidgePoint:

@@ -336,6 +336,39 @@ class TestScenario:
         assert csv_text.splitlines()[0] == "scale,throughput_flops,efficiency"
         assert csv_text == sweep_csv(results)
 
+    def test_unsafe_run_id_writes_nothing(self, tmp_path, ewa):
+        doc = self.scenario_doc(tmp_path, ewa)
+        doc["sweep"] = [8]
+        doc["options"]["run_id"] = "../escaped"
+        out = tmp_path / "a" / "out"
+        with pytest.raises(SchemaError, match="safe path component"):
+            run_scenario(doc, out_dir=out)
+        assert list(tmp_path.rglob("*")) == []
+
+    @pytest.mark.parametrize("key, value, name", [
+        ("per_rank_batch", "abc", "per_rank_batch"),
+        ("per_rank_batch", True, "per_rank_batch"),
+        ("sweep", [8, "16"], "sweep scale"),
+        ("alpha", "x", "alpha"),
+        ("alpha", math.nan, "alpha"),
+        ("topology", {"kind": "ring", "per_message_latency": math.nan},
+         "per_message_latency"),
+        ("topology", {"kind": "ring", "groups": True}, "groups"),
+        ("topology", {"kind": "torus"}, "kind"),
+        ("topology", {"kind": "ring", "hops": 2}, "hops"),
+        ("options", {"achieved_quality": "high"}, "achieved_quality"),
+        ("options", {"achieved_quality": 0.35, "level": "max"}, "level"),
+        ("options", {"achieved_quality": 0.35, "gradient_tensors": 1.5},
+         "gradient_tensors"),
+        ("options", [1], "options"),
+    ])
+    def test_bad_scenario_values_are_schema_errors(self, tmp_path, ewa, key,
+                                                   value, name):
+        doc = self.scenario_doc(tmp_path, ewa)
+        doc[key] = value
+        with pytest.raises(SchemaError, match=name):
+            run_scenario(doc)
+
     def test_scenario_requires_sweep(self, tmp_path, ewa):
         doc = self.scenario_doc(tmp_path, ewa)
         doc["sweep"] = []

@@ -84,6 +84,16 @@ class TestStore:
             store.add(make_run(run_id="x", workload=ic, scale=16, sps=100.0))
         assert not (tmp_path / ic.name).exists()
 
+    def test_overwrite_under_another_workload_is_duplicate(self, tmp_path, ic):
+        store = ResultsStore(tmp_path)
+        stored = store.add(make_run(run_id="x")).read_bytes()
+        with pytest.raises(DuplicateRun, match="'x' already stored"):
+            store.add(make_run(run_id="x", workload=ic, scale=16, sps=100.0),
+                      overwrite=True)
+        assert not (tmp_path / ic.name).exists()
+        assert store.load("x").workload.name == "extreme_weather"
+        assert (tmp_path / "extreme_weather" / "x.json").read_bytes() == stored
+
     def test_duplicate_written_by_another_store_object(self, tmp_path):
         a, b = ResultsStore(tmp_path), ResultsStore(tmp_path)
         a.add(make_run(run_id="x"))
@@ -162,6 +172,24 @@ class TestStore:
         store = ResultsStore(tmp_path)
         store.add(make_run())
         assert store.load_all().clean
+        assert [r.run_id for r in store.load_all().records] == ["r1"]
+
+    def test_hidden_directories_are_not_ingested(self, tmp_path):
+        store = ResultsStore(tmp_path)
+        path = store.add(make_run(wall_time=1000.0))
+        (tmp_path / ".trash").mkdir()
+        (tmp_path / ".trash" / "r1.json").write_text(
+            dumps(make_run(wall_time=2000.0)))
+        result = store.load_all()
+        assert result.clean
+        assert [r.wall_time for r in result.records] == [1000.0]
+        assert [r.run_id for r in ingest(path.parent).records] == ["r1"]
+        with pytest.raises(DuplicateRun):
+            store.add(make_run(wall_time=3000.0))
+
+    def test_ingest_root_may_sit_under_a_hidden_directory(self, tmp_path):
+        store = ResultsStore(tmp_path / ".work" / "store")
+        store.add(make_run())
         assert [r.run_id for r in store.load_all().records] == ["r1"]
 
     def test_index_rebuild(self, tmp_path):
