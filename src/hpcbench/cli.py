@@ -3,9 +3,10 @@
 Subcommands: ``validate``, ``score``, ``aggregate``, ``rank``,
 ``roofline``, ``simulate``, ``report``.  Common flags ``--store``,
 ``--lenient`` and ``--format {md,json,csv}`` are accepted by every data
-subcommand.  Exit codes: 0 success, 1 internal error, 2 rule violations
-present, 3 schema errors (bad input, including bad command-line
-arguments).
+subcommand.  Exit codes: 0 success, 1 internal error (an I/O failure, a
+locked store), 2 rule violations present, 3 bad input: a schema error,
+a bad command-line argument, or a request the benchmarking procedure
+does not define (too few runs, mixed configurations).
 
 Each invocation is an independent process over the file store; there is
 no daemon state.
@@ -14,7 +15,6 @@ no daemon state.
 import argparse
 import csv
 import fnmatch
-import io
 import json
 import sys
 from pathlib import Path
@@ -44,7 +44,7 @@ from .roofline import (
     build_model,
     export_plot,
 )
-from .store import ResultsStore, ingest
+from .store import ingest
 
 __all__ = ["main"]
 
@@ -66,45 +66,51 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                         default="md", help="output format")
 
 
-def _load_runs(args) -> tuple[list[RunRecord], list]:
-    """Collect runs from --store and/or positional paths."""
-    records: list[RunRecord] = []
-    diagnostics: list = []
-    if args.store:
-        result = ResultsStore(args.store).load_all(
-            workload=getattr(args, "workload", None), lenient=args.lenient)
-        records.extend(result.records)
-        diagnostics.extend(result.diagnostics)
-    for path in getattr(args, "runs", None) or []:
-        result = ingest(path, lenient=args.lenient)
-        records.extend(result.records)
-        diagnostics.extend(result.diagnostics)
-    select = getattr(args, "select", None)
-    if select:
-        records = [r for r in records if fnmatch.fnmatch(r.run_id, select)]
-    return records, diagnostics
-
-
-def _report_diagnostics(diagnostics) -> None:
-    for d in diagnostics:
+def _load_runs(args) -> tuple[list[RunRecord], tuple]:
+    """Read the --store tree (or its --workload subtree) and the
+    positional paths in one ``ingest`` call, so a run id that arrives
+    twice is a duplicate, and print the diagnostics.  A missing store
+    reads as empty and is not created."""
+    paths = list(args.runs)
+    if args.store and Path(args.store, args.workload or "").exists():
+        paths.insert(0, Path(args.store, args.workload or ""))
+    result = ingest(*paths, lenient=args.lenient)
+    for d in result.diagnostics:
         print(f"schema: {d.path}: {d.error}", file=sys.stderr)
+    records = [r for r in result.records
+               if not args.select or fnmatch.fnmatch(r.run_id, args.select)]
+    return records, result.diagnostics
 
 
-def _emit_table(fmt: str, headers, rows, json_doc) -> None:
+def _runs(args, verb: str) -> list[RunRecord]:
+    """The selected runs; a rejected input or an empty selection stops
+    the command with exit 3."""
+    records, diagnostics = _load_runs(args)
+    if diagnostics:
+        raise SchemaError(f"{len(diagnostics)} input document(s) rejected; "
+                          f"refusing to {verb}")
+    if not records:
+        raise SchemaError(f"no runs to {verb}")
+    return records
+
+
+def _emit_table(fmt: str, docs: list, columns) -> None:
+    """Print ``docs`` as one JSON document, or their ``columns`` as md or
+    csv rows; a column is (header, key, format spec), None prints blank."""
     if fmt == "json":
-        print(json.dumps(json_doc, indent=2))
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(headers)
-        writer.writerows(rows)
-        print(buf.getvalue(), end="")
+        print(json.dumps(docs, indent=2))
+        return
+    headers = [header for header, _, _ in columns]
+    rows = [["" if doc[key] is None else format(doc[key], spec)
+             for _, key, spec in columns] for doc in docs]
+    if fmt == "csv":
+        csv.writer(sys.stdout, lineterminator="\n").writerows([headers, *rows])
     else:
-        widths = [max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows
-                  else len(str(h)) for i, h in enumerate(headers)]
-        print("  ".join(str(h).ljust(w) for h, w in zip(headers, widths)))
+        widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
+                  for i, h in enumerate(headers)]
+        print("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
         for row in rows:
-            print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
+            print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
 
 
 def _read_declaration(path: str, lenient: bool) -> NineLayerDeclaration:
@@ -114,7 +120,6 @@ def _read_declaration(path: str, lenient: bool) -> NineLayerDeclaration:
 
 def _cmd_validate(args) -> int:
     records, diagnostics = _load_runs(args)
-    _report_diagnostics(diagnostics)
     reference = _read_declaration(args.reference, args.lenient)
     any_error = False
     out = []
@@ -138,39 +143,44 @@ def _cmd_validate(args) -> int:
     return EXIT_VIOLATIONS if any_error else EXIT_OK
 
 
+#: Score fields shown by ``score`` and ``rank``, formatted ``.6g``.
+_SCORE_KEYS = ("flops", "vflops", "vflops_per_watt", "time_to_quality")
+
+
 def _cmd_score(args) -> int:
     records, diagnostics = _load_runs(args)
-    _report_diagnostics(diagnostics)
-    rows, doc = [], []
-    for run in sorted(records, key=lambda r: r.run_id):
-        s = score_run(run)
-        rows.append([run.run_id, f"{s.flops:.6g}", f"{s.vflops:.6g}",
-                     "" if s.vflops_per_watt is None else f"{s.vflops_per_watt:.6g}",
-                     f"{s.time_to_quality:.6g}", f"{s.penalty:.6g}"])
-        doc.append({"run_id": run.run_id, **s.to_dict()})
-    _emit_table(args.format,
-                ["run_id", "flops", "vflops", "vflops_per_watt",
-                 "time_to_quality", "penalty"], rows, doc)
+    docs = [{"run_id": run.run_id, **score_run(run).to_dict()}
+            for run in sorted(records, key=lambda r: r.run_id)]
+    _emit_table(args.format, docs, [("run_id", "run_id", "")] + [
+        (key, key, ".6g") for key in (*_SCORE_KEYS, "penalty")])
     return EXIT_SCHEMA if diagnostics else EXIT_OK
 
 
-def _workload_of(records: list[RunRecord]):
-    names = sorted({r.workload.name for r in records})
-    if len(names) != 1:
+def _configuration(records: list[RunRecord]):
+    """The workload of ``records``, which must share one configuration:
+    workload, system, scale, precision and global batch size.  The
+    drop-extremes aggregate and the report are defined per
+    configuration.  Declarations may differ; the rule audit reports
+    that."""
+    configs = []
+    for r in records:
+        key = (r.workload.name, r.system, r.scale, r.precision,
+               r.global_batchsize)
+        if key not in configs:
+            configs.append(key)
+    if len(configs) > 1:
         raise SchemaError(
-            "runs span workloads " + ", ".join(names)
+            f"runs span {len(configs)} configurations: " + "; ".join(
+                f"{w} on {s.num_nodes}x{s.node.accelerators_per_node} "
+                f"{s.node.accelerator.name}, scale {n}, {p.value}, batch {b}"
+                for w, s, n, p, b in configs)
             + "; narrow with --workload or --select")
     return records[0].workload
 
 
 def _cmd_aggregate(args) -> int:
-    records, diagnostics = _load_runs(args)
-    _report_diagnostics(diagnostics)
-    if diagnostics:
-        return EXIT_SCHEMA
-    if not records:
-        raise SchemaError("no runs to aggregate")
-    workload = _workload_of(records)
+    records = _runs(args, "aggregate")
+    workload = _configuration(records)
     agg = rules.aggregate_runs(records, workload)
     doc = {
         "workload": workload.name,
@@ -194,28 +204,19 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    records, diagnostics = _load_runs(args)
-    _report_diagnostics(diagnostics)
-    if diagnostics:
-        return EXIT_SCHEMA
-    if not records:
-        raise SchemaError("no runs to rank")
+    records = _runs(args, "rank")
     violations = None
     if args.reference:
         reference = _read_declaration(args.reference, args.lenient)
         violations = {r.run_id: rules.validate_declaration(r, reference)
                       for r in records}
     rows = report_mod.rank(records, violations=violations)
-    table = [[r.rank, r.run_id, r.label, r.scale, r.precision,
-              f"{r.flops:.6g}", f"{r.vflops:.6g}",
-              "" if r.vflops_per_watt is None else f"{r.vflops_per_watt:.6g}",
-              f"{r.time_to_quality:.6g}", r.rule_status] for r in rows]
-    _emit_table(args.format,
-                ["rank", "run_id", "system", "scale", "precision", "flops",
-                 "vflops", "vflops_per_watt", "time_to_quality", "rule_status"],
-                table, [r.to_dict() for r in rows])
-    any_error = any(not r.eligible for r in rows)
-    return EXIT_VIOLATIONS if any_error else EXIT_OK
+    _emit_table(args.format, [r.to_dict() for r in rows], [
+        ("rank", "rank", ""), ("run_id", "run_id", ""), ("system", "label", ""),
+        ("scale", "scale", ""), ("precision", "precision", "")] + [
+        (key, key, ".6g") for key in _SCORE_KEYS] + [
+        ("rule_status", "rule_status", "")])
+    return EXIT_VIOLATIONS if any(not r.eligible for r in rows) else EXIT_OK
 
 
 def _read_array(path: str, what: str) -> list:
@@ -262,25 +263,18 @@ def _cmd_roofline(args) -> int:
 
 def _cmd_simulate(args) -> int:
     results = simulator.run_scenario(args.scenario, out_dir=args.out)
-    _emit_table(args.format,
-                ["scale", "throughput_flops", "efficiency"],
-                [[r.run.scale, f"{r.throughput_flops:.6g}",
-                  f"{r.efficiency:.6g}"] for r in results],
-                [{"scale": r.run.scale, "run_id": r.run.run_id,
-                  "throughput_flops": r.throughput_flops,
-                  "efficiency": r.efficiency,
-                  "phase_timeline": r.timeline.to_dict()} for r in results])
+    _emit_table(args.format, [
+        {"scale": r.run.scale, "run_id": r.run.run_id,
+         "throughput_flops": r.throughput_flops, "efficiency": r.efficiency,
+         "phase_timeline": r.timeline.to_dict()} for r in results], [
+        ("scale", "scale", "")] + [
+        (key, key, ".6g") for key in ("throughput_flops", "efficiency")])
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
-    records, diagnostics = _load_runs(args)
-    _report_diagnostics(diagnostics)
-    if diagnostics:
-        return EXIT_SCHEMA
-    if not records:
-        raise SchemaError("no runs to report")
-    workload = _workload_of(records)
+    records = _runs(args, "report")
+    workload = _configuration(records)
     reference = _read_declaration(args.reference, args.lenient)
     violations = []
     for run in records:
@@ -306,43 +300,34 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _record_command(sub, name: str, func, help: str):
+    """A subcommand over run records from --store and positional paths."""
+    p = sub.add_parser(name, help=help)
+    _common_flags(p)
+    p.add_argument("runs", nargs="*", help="run JSON files or directories")
+    p.add_argument("--select", help="run_id glob filter")
+    p.add_argument("--workload", help="restrict to one workload subtree")
+    p.set_defaults(func=func)
+    return p
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hpcbench",
         description="Benchmarking analytics for HPC AI systems")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="audit run declarations against a "
-                                        "reference at each run's level")
-    _common_flags(p)
-    p.add_argument("runs", nargs="*", help="run JSON files or directories")
+    p = _record_command(sub, "validate", _cmd_validate,
+                        "audit run declarations against a reference at "
+                        "each run's level")
     p.add_argument("--reference", required=True,
                    help="reference declaration JSON")
-    p.add_argument("--select", help="run_id glob filter")
-    p.add_argument("--workload", help="restrict to one workload subtree")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("score", help="compute FLOPS/VFLOPS scores per run")
-    _common_flags(p)
-    p.add_argument("runs", nargs="*")
-    p.add_argument("--select")
-    p.add_argument("--workload")
-    p.set_defaults(func=_cmd_score)
-
-    p = sub.add_parser("aggregate", help="drop-extremes aggregate of trials")
-    _common_flags(p)
-    p.add_argument("runs", nargs="*")
-    p.add_argument("--select")
-    p.add_argument("--workload")
-    p.set_defaults(func=_cmd_aggregate)
-
-    p = sub.add_parser("rank", help="rank runs by VFLOPS")
-    _common_flags(p)
-    p.add_argument("runs", nargs="*")
-    p.add_argument("--select")
-    p.add_argument("--workload")
+    _record_command(sub, "score", _cmd_score,
+                    "compute FLOPS/VFLOPS scores per run")
+    _record_command(sub, "aggregate", _cmd_aggregate,
+                    "drop-extremes aggregate of trials")
+    p = _record_command(sub, "rank", _cmd_rank, "rank runs by VFLOPS")
     p.add_argument("--reference", help="optional declaration for rule status")
-    p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("roofline", help="build a roofline and export CSV/SVG")
     _common_flags(p)
@@ -363,14 +348,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="directory for run records and sweep.csv")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("report", help="emit the full benchmark report")
-    _common_flags(p)
-    p.add_argument("runs", nargs="*")
-    p.add_argument("--select")
-    p.add_argument("--workload")
+    p = _record_command(sub, "report", _cmd_report,
+                        "emit the full benchmark report")
     p.add_argument("--reference", required=True)
     p.add_argument("--out", help="output file (json twin written alongside)")
-    p.set_defaults(func=_cmd_report)
 
     return parser
 

@@ -2,7 +2,10 @@
 
 Every error raised by this package derives from :class:`BenchError` and
 carries the exit code the command-line front end maps it to:
-0 success, 1 internal error, 2 rule violations present, 3 schema errors.
+0 success, 1 internal error, 2 rule violations present, 3 bad input.
+Every class that refuses a value the caller supplied derives from
+:class:`SchemaError` and so exits 3; plain :class:`BenchError` (a locked
+store, an incomplete report) exits 1.
 """
 
 EXIT_OK = 0
@@ -18,7 +21,8 @@ class BenchError(Exception):
 
 
 class SchemaError(BenchError):
-    """Input violates a structural or invariant constraint."""
+    """Input violates a structural or invariant constraint, or asks for
+    something the procedure does not define."""
 
     exit_code = EXIT_SCHEMA
 
@@ -44,69 +48,69 @@ class DuplicateRun(SchemaError):
 
 # -- core-model ---------------------------------------------------------
 
-class MissingPrecision(BenchError):
+class MissingPrecision(SchemaError):
     """The accelerator declares no peak rate for the requested precision."""
 
 
 # -- metrics ------------------------------------------------------------
 
-class DegenerateTarget(BenchError):
+class DegenerateTarget(SchemaError):
     """Target quality of zero cannot anchor a penalty ratio."""
 
 
-class InvalidPower(BenchError):
+class InvalidPower(SchemaError):
     """Average power must be strictly positive."""
 
 
-class EmptySample(BenchError):
+class EmptySample(SchemaError):
     """Per-sample work is undefined for an empty sample set."""
 
 
-class DegenerateComm(BenchError):
+class DegenerateComm(SchemaError):
     """Per-step parameter traffic of zero cannot anchor a scaling ratio."""
 
 
-class InvalidScaleOrder(BenchError):
+class InvalidScaleOrder(SchemaError):
     """Parallel efficiency needs scale >= baseline scale."""
 
 
 # -- roofline -----------------------------------------------------------
 
-class UnknownCeiling(BenchError):
+class UnknownCeiling(SchemaError):
     """A named ceiling is not present in the model."""
 
 
-class DegenerateBand(BenchError):
+class DegenerateBand(SchemaError):
     """Bandwidth must be strictly positive."""
 
 
-class CeilingAbovePeak(BenchError):
+class CeilingAbovePeak(SchemaError):
     """A computation ceiling may not exceed the peak compute rate."""
 
 
-class IncompletePoint(BenchError):
+class IncompletePoint(SchemaError):
     """A run cannot be placed without per-step compute and traffic data."""
 
 
-class InvalidTransform(BenchError):
+class InvalidTransform(SchemaError):
     """A what-if transform received an out-of-range factor."""
 
 
-class NothingToPlot(BenchError):
+class NothingToPlot(SchemaError):
     """Plot export requires a model."""
 
 
 # -- rules --------------------------------------------------------------
 
-class IncomparableWorkloads(BenchError):
+class IncomparableWorkloads(SchemaError):
     """Records reference different workloads and cannot be compared."""
 
 
-class InvalidSchedule(BenchError):
+class InvalidSchedule(SchemaError):
     """Warmup must finish before the schedule ends."""
 
 
-class InsufficientRuns(BenchError):
+class InsufficientRuns(SchemaError):
     """Fewer trials submitted than the workload's minimum run count."""
 
     def __init__(self, required: int, got: int):
@@ -115,17 +119,17 @@ class InsufficientRuns(BenchError):
         super().__init__(f"need at least {required} runs, got {got}")
 
 
-class NotARepetition(BenchError):
+class NotARepetition(SchemaError):
     """Trials with heterogeneous declarations are not repeat runs."""
 
 
-class NotReplicable(BenchError):
+class NotReplicable(SchemaError):
     """Aggregates from different workloads/systems cannot be cross-checked."""
 
 
 # -- simulator ----------------------------------------------------------
 
-class BatchShardError(BenchError):
+class BatchShardError(SchemaError):
     """Global batch size does not shard evenly across the ranks."""
 
 

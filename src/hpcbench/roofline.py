@@ -462,6 +462,9 @@ _VIEW_W, _VIEW_H = 960, 540
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 80, 40, 40, 60
 _SERIES_COLORS = ["#888888", "#c0392b", "#2980b9", "#27ae60", "#8e44ad",
                   "#d35400", "#16a085", "#7f8c8d"]
+# Escapes labels and ceiling names as ``xml.sax.saxutils.escape`` does;
+# importing saxutils loads urllib.request and ssl (about 6 MiB).
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def _render_svg(model, points, grid, columns) -> str:
@@ -535,7 +538,8 @@ def _render_svg(model, points, grid, columns) -> str:
         label_y = sy(max(series[-1], y_lo))
         out.append(f'<text x="{_VIEW_W - _MARGIN_R - 4}" y="{label_y - 4:.1f}" '
                    'font-family="sans-serif" font-size="10" '
-                   f'text-anchor="end" fill="{color}">{name}</text>')
+                   f'text-anchor="end" fill="{color}">'
+                   f'{name.translate(_XML_TEXT)}</text>')
 
     # ridge marker
     ridge = model.ridge
@@ -559,7 +563,8 @@ def _render_svg(model, points, grid, columns) -> str:
                    'stroke="#333333"/>')
         out.append(f'<text x="{px + 8:.1f}" y="{py - 6:.1f}" '
                    'font-family="sans-serif" font-size="11" '
-                   f'fill="#333333">{p.label}</text>')
+                   'fill="#333333">'
+                   f'{str(p.label).translate(_XML_TEXT)}</text>')
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

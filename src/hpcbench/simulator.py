@@ -26,6 +26,7 @@ import io
 import json
 import math
 import random
+import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -241,6 +242,13 @@ class SimulationOptions(JsonCodec):
             _int(self.baseline_scale, "baseline_scale", 1)
         if self.epochs_to_quality is not None:
             _num(self.epochs_to_quality, "epochs_to_quality")
+        if not _is_mapping(self.extra_declaration):
+            raise SchemaError("extra_declaration must be an object")
+        for key in self.extra_declaration:
+            if not (isinstance(key, str) and re.fullmatch(r"[1-9]\..+", key)):
+                raise SchemaError(
+                    f"extra_declaration key {key!r} must be a layer 1-9, a "
+                    f"dot and a key, as in '5.framework'")
 
 
 @dataclass(frozen=True)

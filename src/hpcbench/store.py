@@ -95,22 +95,22 @@ def _write_atomic(target: Path, text: str) -> None:
         raise
 
 
-def ingest(path, lenient: bool = False) -> IngestResult:
-    """Parse run records from a file or directory tree.
+def ingest(*paths, lenient: bool = False) -> IngestResult:
+    """Parse run records from files or directory trees.
 
     Every document is parsed in strict mode (unknown fields rejected
     unless ``lenient``) and validated against the run-record invariants.
-    Bad documents become diagnostics instead of aborting the batch;
-    duplicate run ids are rejected.
-
-    Records whose ``system`` or ``workload`` sub-documents are identical
-    share one (frozen) object, built and validated once per call.
+    Bad documents become diagnostics instead of aborting the batch.  One
+    duplicate table spans all ``paths``, so a run id that arrives twice
+    is a ``duplicate run_id`` diagnostic and the first copy is kept.
+    Identical ``system`` or ``workload`` sub-documents share one (frozen)
+    object, built and validated once per call.
     """
     records: list[RunRecord] = []
     diagnostics: list[Diagnostic] = []
     seen: dict[str, str] = {}
     intern: dict = {}
-    for file in _json_files(Path(path)):
+    for file in (f for path in paths for f in _json_files(Path(path))):
         try:
             record = loads(file.read_text(encoding="utf-8"), "run",
                            lenient=lenient, path=str(file), _intern=intern)

@@ -138,11 +138,74 @@ class TestExitCodes:
         assert code == 3
         assert "schema" in err
 
+    def test_input_refusals_exit_three(self):
+        from hpcbench import errors
+
+        internal = {errors.BenchError, errors.IncompleteReport}
+        classes = [c for c in vars(errors).values()
+                   if isinstance(c, type) and issubclass(c, errors.BenchError)]
+        assert len(classes) > 20
+        for cls in classes:
+            assert cls.exit_code == (1 if cls in internal else 3), cls
+
     def test_missing_reference_file_is_internal_error(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "validate", str(tmp_path),
                                "--reference", str(tmp_path / "absent.json"))
         assert code == 1
         assert "error" in err
+
+
+class TestRecordInputs:
+    """One read path: duplicates across sources, missing stores, and the
+    one-configuration guard of ``aggregate`` and ``report``."""
+
+    @pytest.mark.parametrize("with_store", [True, False])
+    def test_run_given_twice_is_a_duplicate(self, ranking_store, capsys,
+                                            with_store):
+        root = ranking_store["root"]
+        path = str(root / "image_classification" / "ic-fp32-16-r00.json")
+        sources = ["--store", str(root), path] if with_store else [path, path]
+        code, out, err = run_cli(capsys, "score", *sources, "--format", "json")
+        assert code == 3
+        assert "duplicate run_id 'ic-fp32-16-r00'" in err
+        assert len(json.loads(out)) == (60 if with_store else 1)
+
+    def test_read_does_not_create_the_store(self, tmp_path, capsys):
+        code, out, _ = run_cli(capsys, "score", "--store",
+                               str(tmp_path / "absent"), "--format", "json")
+        assert (code, json.loads(out)) == (0, [])
+        assert not (tmp_path / "absent").exists()
+
+    def test_unselected_aggregate_on_mixed_store_is_refused(
+            self, ranking_store, capsys):
+        code, out, err = run_cli(capsys, "aggregate", "--store",
+                                 str(ranking_store["root"]))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: runs span 6 configurations: ")
+        assert "scale 64, mixed, batch 16384" in err
+
+    def test_aggregate_of_one_run_exits_three(self, ranking_store, capsys):
+        code, out, err = run_cli(capsys, "aggregate", "--store",
+                                 str(ranking_store["root"]),
+                                 "--select", "ic-mixed-64-r00")
+        assert (code, out) == (3, "")
+        assert err == "error: need at least 10 runs, got 1\n"
+
+    def test_report_over_two_systems_is_refused(self, ranking_store,
+                                                tmp_path, capsys):
+        from dataclasses import replace
+
+        bigger = case_study_system(num_nodes=16)
+        runs = [r for r in ranking_store["runs"]
+                if r.run_id.startswith("ic-mixed-64-")]
+        for run in runs + [replace(r, run_id=r.run_id + "-big", system=bigger)
+                           for r in runs]:
+            (tmp_path / f"{run.run_id}.json").write_text(dumps(run))
+        code, out, err = run_cli(capsys, "report", str(tmp_path),
+                                 "--reference", str(ranking_store["reference"]))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: runs span 2 configurations: ")
+        assert "on 8x8 " in err and "on 16x8 " in err
 
 
 class TestRooflineCommand:
@@ -247,6 +310,10 @@ class TestHostileInputs:
     @pytest.mark.parametrize("key, value", [
         ("per_rank_batch", "abc"),
         ("options", {"achieved_quality": 0.35, "run_id": "../escaped"}),
+        ("options", {"achieved_quality": 0.35,
+                     "extra_declaration": {"x.y": 1}}),
+        ("options", {"achieved_quality": 0.35,
+                     "extra_declaration": {"0.note": "z"}}),
     ])
     def test_simulate_scenario_values(self, tmp_path, capsys, key, value):
         scenario_path = write_scenario(tmp_path)

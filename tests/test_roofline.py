@@ -412,6 +412,17 @@ class TestExportPlot:
         assert svg.count("<circle") == 2
         assert "ewa" in svg and "ic" in svg
 
+    def test_svg_text_is_escaped(self):
+        import xml.etree.ElementTree as ET
+        model = single_node_model(
+            (Ceiling("a&b", CeilingKind.COMPUTATION, 100 * TERA),))
+        point = RooflinePoint.from_traffic("resnet<v2>&co", 1e12, 1e9)
+        svg = export_plot(model, [point]).svg
+        texts = [t.text for t in ET.fromstring(svg).iter(
+            "{http://www.w3.org/2000/svg}text")]
+        assert "resnet<v2>&co" in texts and "ceiling_a&b" in texts
+        assert ">resnet&lt;v2&gt;&amp;co</text>" in svg
+
     def test_point_topology_straddles_ridge(self):
         # 16-GPU chart: the detection point renders left of the ridge
         # marker (slant), the classification point right of it (flat)

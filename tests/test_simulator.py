@@ -305,6 +305,19 @@ class TestCrossModuleBound:
                     assert result.throughput_flops <= bound * (1 + 1e-9)
 
 
+class TestExtraDeclaration:
+    def test_key_names_a_layer(self, ewa):
+        run = simulate(ewa, 8, 1, extra_declaration={"5.framework": "x"}).run
+        assert run.declaration.layer(5)["framework"] == "x"
+
+    @pytest.mark.parametrize("extra", [
+        {"x.y": 1}, {"0.note": "z"}, {"10.a": 1}, {"5.": 1}, {"5": 1},
+        {5: 1}, [("5.a", 1)]])
+    def test_bad_keys_are_schema_errors(self, extra):
+        with pytest.raises(SchemaError, match="extra_declaration"):
+            SimulationOptions(achieved_quality=0.35, extra_declaration=extra)
+
+
 class TestScenario:
     def scenario_doc(self, tmp_path, ewa):
         system = case_study_system()

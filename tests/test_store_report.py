@@ -261,6 +261,17 @@ class TestIngest:
         assert len(result.records) == 1
         assert "duplicate" in result.diagnostics[0].error
 
+    def test_one_duplicate_table_over_several_paths(self, tmp_path):
+        a = tmp_path / "a.json"
+        a.write_text(dumps(make_run("a")))
+        (tmp_path / "b.json").write_text(dumps(make_run("b")))
+        for paths, kept in [((tmp_path, a), ["a", "b"]), ((a, a), ["a"])]:
+            result = ingest(*paths)
+            assert [r.run_id for r in result.records] == kept
+            (diag,) = result.diagnostics
+            assert (diag.path, diag.kind) == (str(a), "schema")
+            assert diag.error == f"duplicate run_id 'a' (first seen in {a})"
+
     def test_records_share_identical_systems(self, tmp_path):
         for run_id in ("a", "b"):
             (tmp_path / f"{run_id}.json").write_text(dumps(make_run(run_id)))
