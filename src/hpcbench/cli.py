@@ -26,6 +26,7 @@ from .core import (
     PrecisionMode,
     RunRecord,
     _is_mapping,
+    _parse_json,
     loads,
 )
 from .errors import (
@@ -44,7 +45,7 @@ from .roofline import (
     build_model,
     export_plot,
 )
-from .store import ingest
+from .store import _json_files, ingest
 
 __all__ = ["main"]
 
@@ -70,10 +71,17 @@ def _load_runs(args) -> tuple[list[RunRecord], tuple]:
     """Read the --store tree (or its --workload subtree) and the
     positional paths in one ``ingest`` call, so a run id that arrives
     twice is a duplicate, and print the diagnostics.  A missing store
-    reads as empty and is not created."""
+    reads as empty and is not created.
+
+    The store keeps each run as ``<workload>/<run_id>.json``, so under
+    --store a --select glob picks files by name before any is read;
+    positional paths are read whole.  Either way the glob is matched
+    against each parsed run id."""
     paths = list(args.runs)
-    if args.store and Path(args.store, args.workload or "").exists():
-        paths.insert(0, Path(args.store, args.workload or ""))
+    store = Path(args.store, args.workload or "") if args.store else None
+    if store and store.exists():
+        paths[:0] = (_json_files(store, args.select) if args.select
+                     else [store])
     result = ingest(*paths, lenient=args.lenient)
     for d in result.diagnostics:
         print(f"schema: {d.path}: {d.error}", file=sys.stderr)
@@ -113,6 +121,23 @@ def _emit_table(fmt: str, docs: list, columns) -> None:
             print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
 
 
+def _audit(records: list[RunRecord],
+           reference: NineLayerDeclaration) -> list[list]:
+    """``rules.validate_declaration`` of each run, in record order.  The
+    audit depends only on the run's declaration and level, so it runs
+    once per distinct pair and runs that share one share its result.
+    The pair is keyed by the ``repr`` of the layers, not by ``==``:
+    ``True == 1``, but a violation message quotes the declared value."""
+    audits: dict = {}
+    out = []
+    for run in records:
+        key = (repr(run.declaration.layers), run.level)
+        if key not in audits:
+            audits[key] = rules.validate_declaration(run, reference)
+        out.append(audits[key])
+    return out
+
+
 def _read_declaration(path: str, lenient: bool) -> NineLayerDeclaration:
     return loads(Path(path).read_text(encoding="utf-8"), "declaration",
                  lenient=lenient, path=path)
@@ -123,8 +148,7 @@ def _cmd_validate(args) -> int:
     reference = _read_declaration(args.reference, args.lenient)
     any_error = False
     out = []
-    for run in records:
-        violations = rules.validate_declaration(run, reference)
+    for run, violations in zip(records, _audit(records, reference)):
         errors = [v for v in violations if v.severity is rules.Severity.ERROR]
         any_error |= bool(errors)
         out.append({"run_id": run.run_id,
@@ -208,8 +232,8 @@ def _cmd_rank(args) -> int:
     violations = None
     if args.reference:
         reference = _read_declaration(args.reference, args.lenient)
-        violations = {r.run_id: rules.validate_declaration(r, reference)
-                      for r in records}
+        violations = {r.run_id: found for r, found
+                      in zip(records, _audit(records, reference))}
     rows = report_mod.rank(records, violations=violations)
     _emit_table(args.format, [r.to_dict() for r in rows], [
         ("rank", "rank", ""), ("run_id", "run_id", ""), ("system", "label", ""),
@@ -220,7 +244,7 @@ def _cmd_rank(args) -> int:
 
 
 def _read_array(path: str, what: str) -> list:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw = _parse_json(Path(path).read_text(encoding="utf-8"), path)
     if not isinstance(raw, list):
         raise SchemaError(f"{what} file {path} must hold a JSON array")
     return raw
@@ -276,9 +300,7 @@ def _cmd_report(args) -> int:
     records = _runs(args, "report")
     workload = _configuration(records)
     reference = _read_declaration(args.reference, args.lenient)
-    violations = []
-    for run in records:
-        violations.extend(rules.validate_declaration(run, reference))
+    violations = [v for found in _audit(records, reference) for v in found]
     agg = rules.aggregate_runs(records, workload)
     scores = {r.run_id: score_run(r) for r in records}
     doc = report_mod.emit_report(
@@ -366,8 +388,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
 
 

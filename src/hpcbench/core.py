@@ -515,6 +515,19 @@ _TYPE_BY_KIND = {
 }
 
 
+def _parse_json(text: str, path=None):
+    """``json.loads`` of an input document.  Invalid JSON raises
+    :class:`ParseError`, and so does JSON the parser refuses to build:
+    nesting deeper than the recursion limit, an integer literal longer
+    than the interpreter converts."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, path=path, line=exc.lineno, offset=exc.colno) from None
+    except (RecursionError, ValueError) as exc:
+        raise ParseError(str(exc), path=path) from None
+
+
 def loads(text: str, kind: str, lenient: bool = False, path=None, *,
           _intern: Optional[dict] = None):
     """Parse a JSON document into the named domain type.
@@ -525,10 +538,7 @@ def loads(text: str, kind: str, lenient: bool = False, path=None, *,
     passes one fresh table per call so that its ``run`` records share
     identical ``system``/``workload`` objects.
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, path=path, line=exc.lineno, offset=exc.colno) from None
+    data = _parse_json(text, path)
     if not _is_mapping(data):
         raise SchemaError(f"top-level JSON value must be an object ({path or kind})")
     try:

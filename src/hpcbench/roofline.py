@@ -177,6 +177,8 @@ class RooflinePoint:
     @classmethod
     def from_traffic(cls, label: str, flops_total: float, comm_traffic: float,
                      attained: Optional[float] = None) -> "RooflinePoint":
+        if not isinstance(label, str):
+            raise SchemaError(f"point label must be a string, got {label!r}")
         if attained is not None:
             _num(attained, "attained")
         return cls(label=label, flops_total=flops_total,

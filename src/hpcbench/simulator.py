@@ -23,7 +23,6 @@ skew seed) give identical outputs.
 
 import csv
 import io
-import json
 import math
 import random
 import re
@@ -43,6 +42,7 @@ from .core import (
     _int,
     _is_mapping,
     _num,
+    _parse_json,
     _require,
     dumps,
 )
@@ -476,7 +476,8 @@ def run_scenario(scenario, out_dir=None) -> list[SimulationResult]:
     there; run ids must be safe file names, as in the results store.
     """
     if not isinstance(scenario, dict):
-        scenario = json.loads(Path(scenario).read_text(encoding="utf-8"))
+        scenario = _parse_json(Path(scenario).read_text(encoding="utf-8"),
+                               scenario)
     if (not _is_mapping(scenario) or "system" not in scenario
             or "workload" not in scenario):
         raise SchemaError("scenario needs 'system' and 'workload' objects")

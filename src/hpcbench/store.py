@@ -4,9 +4,10 @@ Layout: one JSON document per run under ``root/<workload>/<run_id>.json``;
 no database, diff-friendly.  The layout is the key: ``add`` decides
 whether a run id is already stored by probing for ``<run_id>.json`` in
 every workload directory, so a write costs O(workload directories) and
-reads no record.  ``index()`` is the content audit: it reads every
-record, maps the ``run_id`` each one declares to its file and refuses
-an id stored twice; ``load`` and ``write_index`` use it.
+reads no record; ``load`` finds a record by the same probe.  ``index()``
+is the content audit: it reads every record, maps the ``run_id`` each
+one declares to its file and refuses an id stored twice;
+``write_index`` uses it.
 
 Run ids and workload names become path components, so both must match
 ``[A-Za-z0-9][A-Za-z0-9._-]*``.  Records are written to a hidden
@@ -16,6 +17,7 @@ Writes take an advisory lock file at the store root that names its
 owner; reads need no coordination.
 """
 
+import fnmatch
 import json
 import os
 import platform
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .core import JsonCodec, RunRecord, loads
+from .core import JsonCodec, RunRecord, _parse_json, loads
 from .errors import BenchError, DuplicateRun, ParseError, SchemaError
 
 __all__ = ["Diagnostic", "IngestResult", "ingest", "ResultsStore"]
@@ -50,11 +52,12 @@ class IngestResult:
         return not self.diagnostics
 
 
-def _json_files(path: Path) -> list[Path]:
+def _json_files(path: Path, stem_glob: Optional[str] = None) -> list[Path]:
     """The ``.json`` files under ``path``, skipping any whose path below
     ``path`` has a hidden component (``.trash/r1.json``, ``.r1.tmp``).
     Hidden directories are not descended into, nor are symbolic links to
-    directories."""
+    directories.  With ``stem_glob``, only the files whose name without
+    ``.json`` matches it are listed."""
     if not path.is_dir():
         return [path]
     found = []
@@ -62,7 +65,9 @@ def _json_files(path: Path) -> list[Path]:
         dirnames[:] = [d for d in dirnames if not d.startswith(".")]
         base = Path(dirpath)
         found.extend(base / name for name in filenames
-                     if name.endswith(".json") and not name.startswith("."))
+                     if name.endswith(".json") and not name.startswith(".")
+                     and (stem_glob is None
+                          or fnmatch.fnmatch(name[:-5], stem_glob)))
     return sorted(found, key=lambda p: p.parts)
 
 
@@ -114,7 +119,7 @@ def ingest(*paths, lenient: bool = False) -> IngestResult:
         try:
             record = loads(file.read_text(encoding="utf-8"), "run",
                            lenient=lenient, path=str(file), _intern=intern)
-        except ParseError as exc:
+        except (ParseError, UnicodeDecodeError) as exc:
             diagnostics.append(Diagnostic(str(file), str(exc), "parse"))
             continue
         except SchemaError as exc:
@@ -181,15 +186,15 @@ class ResultsStore:
         _check_name(run.run_id, "run_id")
         return self.root / run.workload.name / f"{run.run_id}.json"
 
-    def _stored(self, run_id: str, skip: Optional[str] = None) -> bool:
-        """Whether ``<run_id>.json`` exists in a workload directory other
-        than ``skip``."""
+    def _stored(self, run_id: str, skip: Optional[str] = None) -> list[Path]:
+        """The files ``<run_id>.json`` in workload directories other than
+        ``skip``."""
         name = f"{run_id}.json"
         with os.scandir(self.root) as entries:
-            return any(not entry.name.startswith(".") and entry.name != skip
-                       and entry.is_dir()
-                       and os.path.exists(os.path.join(entry.path, name))
-                       for entry in entries)
+            return sorted(Path(entry.path, name) for entry in entries
+                          if not entry.name.startswith(".")
+                          and entry.name != skip and entry.is_dir()
+                          and os.path.exists(os.path.join(entry.path, name)))
 
     def add(self, run: RunRecord, overwrite: bool = False) -> Path:
         """Write one record; duplicate ids are rejected unless overwriting.
@@ -223,9 +228,10 @@ class ResultsStore:
         idx: dict[str, Path] = {}
         for file in _json_files(self.root):
             try:
-                doc = json.loads(file.read_text(encoding="utf-8"))
-                run_id = doc["run_id"]
-            except (json.JSONDecodeError, KeyError, TypeError):
+                run_id = _parse_json(file.read_text(encoding="utf-8"))["run_id"]
+            except (ParseError, UnicodeDecodeError, KeyError, TypeError):
+                continue
+            if not isinstance(run_id, str):
                 continue
             if run_id in idx:
                 raise DuplicateRun(
@@ -246,11 +252,22 @@ class ResultsStore:
         return target
 
     def load(self, run_id: str, lenient: bool = False) -> RunRecord:
-        idx = self.index()
-        if run_id not in idx:
+        """Read the record stored as ``<workload>/<run_id>.json``, probing
+        the workload directories the way ``add`` does; no other record
+        is read.  The file must hold that run id."""
+        _check_name(run_id, "run_id")
+        found = self._stored(run_id)
+        if not found:
             raise SchemaError(f"no stored run with id {run_id!r}")
-        return loads(idx[run_id].read_text(encoding="utf-8"), "run",
-                     lenient=lenient, path=str(idx[run_id]))
+        if len(found) > 1:
+            raise DuplicateRun(f"run_id {run_id!r} appears in both "
+                               f"{found[0]} and {found[1]}")
+        record = loads(found[0].read_text(encoding="utf-8"), "run",
+                       lenient=lenient, path=str(found[0]))
+        if record.run_id != run_id:
+            raise SchemaError(f"{found[0]} holds run_id {record.run_id!r}, "
+                              f"not {run_id!r}")
+        return record
 
     def load_all(self, workload: Optional[str] = None,
                  lenient: bool = False) -> IngestResult:

@@ -1,9 +1,12 @@
 import json
+import shutil
+from dataclasses import replace
 
 import pytest
 
-from hpcbench.cli import main
-from hpcbench.core import dumps
+from hpcbench import rules
+from hpcbench.cli import _audit, main
+from hpcbench.core import BenchLevel, NineLayerDeclaration, dumps
 from hpcbench.presets import case_study_system, ewa_workload
 from hpcbench.rules import Severity
 
@@ -208,6 +211,71 @@ class TestRecordInputs:
         assert "on 8x8 " in err and "on 16x8 " in err
 
 
+class TestSelection:
+    """Under --store, --select picks record files by name before reading;
+    positional paths are read whole."""
+
+    @pytest.fixture
+    def store(self, ranking_store, tmp_path):
+        root = tmp_path / "store"
+        shutil.copytree(ranking_store["root"], root)
+        return root
+
+    @pytest.mark.parametrize("name, expected", [("zz-bad", 0),
+                                                ("ic-mixed-64-zz", 3)])
+    def test_bad_file_counts_only_inside_the_selection(self, store, capsys,
+                                                       name, expected):
+        (store / "image_classification" / f"{name}.json").write_text("{nope")
+        code, out, err = run_cli(capsys, "aggregate", "--store", str(store),
+                                 "--select", "ic-mixed-64-*",
+                                 "--format", "json")
+        assert code == expected
+        if code == 0:
+            assert (json.loads(out)["runs"], err) == (10, "")
+        else:
+            assert err.endswith("error: 1 input document(s) rejected; "
+                                "refusing to aggregate\n")
+
+    def test_bad_file_under_a_positional_directory_counts(self, store,
+                                                          capsys):
+        (store / "image_classification" / "zz-bad.json").write_text("{nope")
+        code, out, err = run_cli(capsys, "aggregate", str(store),
+                                 "--select", "ic-mixed-64-*")
+        assert (code, out) == (3, "")
+        assert "zz-bad.json" in err
+
+    def test_audit_matches_one_call_per_run(self, ranking_store,
+                                            monkeypatch):
+        runs = list(ranking_store["runs"])
+        reference = NineLayerDeclaration.from_dict(
+            json.loads(ranking_store["reference"].read_text()))
+        for i, sync in enumerate((True, 1)):
+            layers = [dict(layer) for layer in runs[i].declaration.layers]
+            layers[5]["sync_mode"] = sync
+            runs.append(replace(runs[i], run_id=f"sync-{i}",
+                                declaration=NineLayerDeclaration(tuple(layers))))
+        runs.append(replace(runs[-1], run_id="system-level",
+                            level=BenchLevel.SYSTEM))
+        expected = [rules.validate_declaration(r, reference) for r in runs]
+        calls = []
+        validate = rules.validate_declaration
+
+        def counted(run, ref):
+            calls.append(run)
+            return validate(run, ref)
+
+        monkeypatch.setattr(rules, "validate_declaration", counted)
+        assert _audit(runs, reference) == expected
+        # one call per configuration (each declares its own precision
+        # and batch size), per sync_mode value and for the second level
+        assert len(calls) == 6 + 3
+        messages = [v.message for v in expected[-3] + expected[-2]
+                    if "synchronous SGD" in v.message]
+        assert messages == [
+            "training must be synchronous SGD, declared True",
+            "training must be synchronous SGD, declared 1"]
+
+
 class TestRooflineCommand:
     def test_writes_csv_and_svg(self, tmp_path, capsys):
         system_path = tmp_path / "system.json"
@@ -268,6 +336,9 @@ class TestHostileInputs:
 
     @pytest.fixture
     def files(self, tmp_path):
+        for name, data in (("not_utf8", b"\xff\xfe[]"),
+                           ("too_deep", b"[" * 200000)):
+            (tmp_path / f"{name}.json").write_bytes(data)
         system_path = tmp_path / "system.json"
         system_path.write_text(dumps(case_study_system()))
         docs = {
@@ -279,8 +350,11 @@ class TestHostileInputs:
             "point_not_object": [5],
             "point_not_number": [{"label": "a", "flops_total": "x",
                                   "comm_traffic": 1.0}],
+            "label_not_string": [{"label": 5, "flops_total": 1e9,
+                                  "comm_traffic": 1.0}],
         }
-        paths = {"system": str(system_path)}
+        paths = {name: str(tmp_path / f"{name}.json")
+                 for name in ("system", "not_utf8", "too_deep")}
         for name, doc in docs.items():
             paths[name] = str(tmp_path / f"{name}.json")
             (tmp_path / f"{name}.json").write_text(json.dumps(doc))
@@ -292,6 +366,9 @@ class TestHostileInputs:
         ("--ceilings", "ceiling_object"),
         ("--points", "point_not_object"),
         ("--points", "point_not_number"),
+        ("--points", "label_not_string"),
+        ("--points", "not_utf8"),
+        ("--ceilings", "too_deep"),
     ])
     def test_roofline_input_files(self, files, capsys, flag, name):
         code, out, err = run_cli(capsys, "roofline", "--system",
@@ -299,6 +376,16 @@ class TestHostileInputs:
         assert code == 3
         assert err.startswith("error: ") and "Traceback" not in err
         assert out == ""
+
+    @pytest.mark.parametrize("name", ["not_utf8", "too_deep"])
+    def test_unreadable_system_and_reference(self, files, ranking_store,
+                                             capsys, name):
+        for argv in (["roofline", "--system", files[name]],
+                     ["validate", "--store", str(ranking_store["root"]),
+                      "--reference", files[name]]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (3, "")
+            assert err.startswith("error: ") and "Traceback" not in err
 
     def test_unknown_precision_flag(self, files, capsys):
         with pytest.raises(SystemExit) as info:

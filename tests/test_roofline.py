@@ -110,6 +110,7 @@ class TestNumericInputs:
         ({"comm_traffic": math.nan}, "comm_traffic"),
         ({"attained": "fast"}, "attained"),
         ({"attained": math.nan}, "attained"),
+        ({"label": 5}, "label"),
     ])
     def test_point_inputs(self, kwargs, name):
         point = {"label": "p", "flops_total": 1e9, "comm_traffic": 1e6,

@@ -1,8 +1,11 @@
 import json
 import os
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from hpcbench.core import BenchLevel, PrecisionMode, RunRecord, dumps, loads
 from hpcbench.errors import (
@@ -37,6 +40,36 @@ def make_run(run_id="r1", quality=None, wall_time=1000.0, scale=8,
         samples_per_second_per_rank=sps, num_ranks=scale,
         level=BenchLevel.HARDWARE,
         declaration=reference_declaration(workload), average_power=power)
+
+
+_RECORD = dumps(make_run()).encode("utf-8")
+
+
+def _field_paths(doc, prefix=()):
+    """Every key path into ``doc``, through objects and arrays."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _field_paths(value, prefix + (key,))
+
+
+_FIELD_PATHS = list(_field_paths(json.loads(_RECORD)))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6)
+
+
+def _with_field(path, value) -> bytes:
+    """The record document with the value at ``path`` replaced."""
+    doc = json.loads(_RECORD)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return json.dumps(doc).encode("utf-8")
 
 
 class TestStore:
@@ -114,6 +147,36 @@ class TestStore:
         assert store.add(make_run(run_id="r50")).exists()
         with pytest.raises(DuplicateRun):
             store.add(make_run(run_id="r7"))
+
+    def test_load_does_not_read_the_store(self, tmp_path, monkeypatch):
+        store = ResultsStore(tmp_path)
+        store.add_all(make_run(run_id=f"r{i}") for i in range(50))
+        (tmp_path / "extreme_weather" / "zz-bad.json").write_text("{nope")
+
+        def no_index(self):
+            raise AssertionError("load rebuilt the index")
+
+        monkeypatch.setattr(ResultsStore, "index", no_index)
+        assert store.load("r7") == make_run(run_id="r7")
+        with pytest.raises(SchemaError, match="no stored run with id 'r50'"):
+            store.load("r50")
+
+    def test_load_refuses_a_run_id_stored_twice(self, tmp_path):
+        store = ResultsStore(tmp_path)
+        store.add(make_run(run_id="x"))
+        other = tmp_path / "image_classification"
+        other.mkdir()
+        (other / "x.json").write_text(dumps(make_run(run_id="x")))
+        with pytest.raises(DuplicateRun, match="'x' appears in both"):
+            store.load("x")
+
+    def test_load_refuses_a_misnamed_record(self, tmp_path):
+        store = ResultsStore(tmp_path)
+        store.add(make_run(run_id="x"))
+        (tmp_path / "extreme_weather" / "y.json").write_text(
+            dumps(make_run(run_id="z")))
+        with pytest.raises(SchemaError, match="holds run_id 'z', not 'y'"):
+            store.load("y")
 
     def test_overwrite_replaces_record(self, tmp_path):
         store = ResultsStore(tmp_path)
@@ -252,6 +315,36 @@ class TestIngest:
         result = ingest(tmp_path)
         assert result.diagnostics[0].kind == "parse"
         assert "line 1" in result.diagnostics[0].error
+
+    @pytest.mark.parametrize("data", [
+        b"\xff\xfe{}", b"[" * 200000, b"[" + b"1" * 5000 + b"]"],
+        ids=["not-utf8", "too-deep", "long-integer"])
+    def test_undecodable_bytes_are_parse_diagnostics(self, tmp_path, data):
+        (tmp_path / "a.json").write_bytes(data)
+        (tmp_path / "b.json").write_text(dumps(make_run("b")))
+        result = ingest(tmp_path)
+        assert [r.run_id for r in result.records] == ["b"]
+        (diag,) = result.diagnostics
+        assert (diag.path, diag.kind) == (str(tmp_path / "a.json"), "parse")
+
+    @given(st.one_of(
+        st.binary(max_size=300),
+        st.builds(lambda i, b: _RECORD[:i] + b + _RECORD[i + len(b):],
+                  st.integers(0, len(_RECORD)), st.binary(min_size=1,
+                                                         max_size=4)),
+        st.builds(_with_field, st.sampled_from(_FIELD_PATHS), _JSON_VALUES)))
+    @example(b"\xff\xfe{}")
+    @example(b"[" * 200000)
+    @example(b"[" + b"1" * 5000 + b"]")
+    def test_any_bytes_become_a_record_or_a_diagnostic(self, data):
+        with tempfile.TemporaryDirectory() as root:
+            target = Path(root, "extreme_weather", "r1.json")
+            target.parent.mkdir()
+            target.write_bytes(data)
+            result = ingest(root)
+            assert len(result.records) + len(result.diagnostics) == 1
+            assert all(isinstance(r, RunRecord) for r in result.records)
+            ResultsStore(root).index()
 
     def test_duplicate_ids_across_files(self, tmp_path):
         doc = dumps(make_run())
