@@ -10,7 +10,9 @@ threads.  Construction validates invariants and raises
 :class:`~hpcbench.errors.SchemaError` naming the offending field.
 Because they are frozen, records parsed by one
 :func:`~hpcbench.store.ingest` call may share one ``system`` or
-``workload`` object when their JSON sub-documents are identical.
+``workload`` object when their JSON sub-documents are identical: equal
+as values, with the same types and the same key order, so that ``1``,
+``1.0`` and ``True`` (or ``0.0`` and ``-0.0``) never share an object.
 """
 
 from collections.abc import Mapping
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import cache
 import json
+import marshal
 import math
 import re
 from typing import Any, Optional, get_args, get_origin, get_type_hints
@@ -374,6 +377,9 @@ LAYER_NAMES = {
 }
 
 
+_STR_TYPE = frozenset({str})
+
+
 @dataclass(frozen=True)
 class NineLayerDeclaration(JsonCodec):
     """Full-stack declaration of a run, one key/value map per layer.
@@ -394,9 +400,13 @@ class NineLayerDeclaration(JsonCodec):
         for i, layer in enumerate(self.layers, start=1):
             if not _is_mapping(layer):
                 raise SchemaError(f"layer {i} must be a key/value mapping")
-            for key in layer:
-                if not isinstance(key, str) or key == "":
-                    raise SchemaError(f"layer {i} keys must be non-empty strings")
+            # Exact-``str`` keys without "" pass at C speed; anything else
+            # (a ``str`` subclass, a bad key) takes the per-key check.
+            if "" in layer or not _STR_TYPE.issuperset(map(type, layer)):
+                for key in layer:
+                    if not isinstance(key, str) or key == "":
+                        raise SchemaError(
+                            f"layer {i} keys must be non-empty strings")
             frozen.append(dict(layer))
         object.__setattr__(self, "layers", tuple(frozen))
 
@@ -443,6 +453,11 @@ class RunRecord(JsonCodec):
     def __post_init__(self):
         _require(isinstance(self.run_id, str) and self.run_id != "",
                  "run_id must be a non-empty string")
+        try:
+            self.run_id.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate, e.g. JSON "\ud800"
+            raise SchemaError(f"run_id must encode as UTF-8, "
+                              f"got {self.run_id!r}") from None
         _require(_num(self.wall_time, "wall_time") > 0, "wall_time must be positive")
         q = _num(self.achieved_quality, "achieved_quality")
         if not 0.0 <= q <= 1.0:
@@ -475,15 +490,19 @@ def _interned(table: Optional[dict], cls, raw: Mapping[str, Any],
     """``cls.from_dict(raw, lenient)``, built once per distinct ``raw``
     in ``table``.
 
-    The key is the ``repr`` of the JSON-decoded sub-document, which is
-    exact: it keeps ``1`` and ``1.0`` apart, and ``True`` and ``1``.
-    The same keys in another order miss the table, which costs a
-    rebuild and nothing else.  A sub-document that fails validation
-    raises and is never stored.
+    The key is ``marshal.dumps(raw, 2)`` of the JSON-decoded
+    sub-document, computed in C.  It is exact, like ``repr`` but without
+    formatting floats: it writes each value's type and bits, so it keeps
+    ``1``, ``1.0`` and ``True`` apart, and ``0.0`` and ``-0.0``.  Format
+    2 writes no back-references, so the bytes depend on the values and
+    not on which objects are shared.  The key is only compared, never
+    loaded, and lives as long as the table.  The same keys in another
+    order miss the table, which costs a rebuild and nothing else.  A
+    sub-document that fails validation raises and is never stored.
     """
     if table is None or type(raw) is not dict:
         return cls.from_dict(raw, lenient)
-    key = (cls, lenient, repr(raw))
+    key = (cls, lenient, marshal.dumps(raw, 2))
     obj = table.get(key)
     if obj is None:
         obj = table[key] = cls.from_dict(raw, lenient)

@@ -110,28 +110,36 @@ def ingest(*paths, lenient: bool = False) -> IngestResult:
     is a ``duplicate run_id`` diagnostic and the first copy is kept.
     Identical ``system`` or ``workload`` sub-documents share one (frozen)
     object, built and validated once per call.
+
+    Each file is read once as bytes and decoded as strict UTF-8 before
+    ``json.loads`` sees it: given bytes, ``json.loads`` would also accept
+    UTF-16/32, a byte-order mark and encoded surrogates, which are all
+    ``parse`` diagnostics here.
     """
     records: list[RunRecord] = []
     diagnostics: list[Diagnostic] = []
     seen: dict[str, str] = {}
     intern: dict = {}
     for file in (f for path in paths for f in _json_files(Path(path))):
+        name = str(file)
         try:
-            record = loads(file.read_text(encoding="utf-8"), "run",
-                           lenient=lenient, path=str(file), _intern=intern)
+            with open(name, "rb") as fh:
+                text = fh.read().decode("utf-8")
+            record = loads(text, "run", lenient=lenient, path=name,
+                           _intern=intern)
         except (ParseError, UnicodeDecodeError) as exc:
-            diagnostics.append(Diagnostic(str(file), str(exc), "parse"))
+            diagnostics.append(Diagnostic(name, str(exc), "parse"))
             continue
         except SchemaError as exc:
-            diagnostics.append(Diagnostic(str(file), str(exc), "schema"))
+            diagnostics.append(Diagnostic(name, str(exc), "schema"))
             continue
         if record.run_id in seen:
             diagnostics.append(Diagnostic(
-                str(file),
+                name,
                 f"duplicate run_id {record.run_id!r} (first seen in "
                 f"{seen[record.run_id]})", "schema"))
             continue
-        seen[record.run_id] = str(file)
+        seen[record.run_id] = name
         records.append(record)
     return IngestResult(records=tuple(records), diagnostics=tuple(diagnostics))
 

@@ -173,6 +173,22 @@ class TestRecordInputs:
         assert "duplicate run_id 'ic-fp32-16-r00'" in err
         assert len(json.loads(out)) == (60 if with_store else 1)
 
+    @pytest.mark.parametrize("fmt", ["md", "csv"])
+    def test_run_id_that_is_not_utf8_is_a_schema_diagnostic(
+            self, ranking_store, tmp_path, capsys, fmt):
+        good, other = ranking_store["runs"][:2]
+        doc = json.loads(dumps(other))
+        doc["run_id"] = "bad\ud800id"
+        (tmp_path / "good.json").write_text(dumps(good))
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "score", str(tmp_path),
+                                 "--format", fmt)
+        assert code == 3
+        assert err == (f"schema: {tmp_path / 'bad.json'}: run_id must "
+                       "encode as UTF-8, got 'bad\\ud800id'\n")
+        assert [line.split(",")[0].split()[0]
+                for line in out.splitlines()] == ["run_id", good.run_id]
+
     def test_read_does_not_create_the_store(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, "score", "--store",
                                str(tmp_path / "absent"), "--format", "json")

@@ -60,6 +60,10 @@ class TestDerivePeaks:
             derive_peaks(make_system(), PrecisionMode.INT4)
 
 
+class StrKey(str):
+    """A ``str`` subclass, as a caller may pass for a layer key."""
+
+
 class TestInvariants:
     def test_effective_bandwidth_capped_at_nominal(self):
         with pytest.raises(SchemaError, match="effective"):
@@ -80,6 +84,20 @@ class TestInvariants:
     def test_nine_layers_required(self):
         with pytest.raises(SchemaError, match="nine"):
             NineLayerDeclaration(layers=({},) * 8)
+
+    @pytest.mark.parametrize("key", ["", 1, StrKey("")],
+                             ids=["empty", "int", "empty-str-subclass"])
+    def test_layer_keys_must_be_non_empty_strings(self, key):
+        layers = [{} for _ in range(9)]
+        layers[4] = {"framework": "x", key: "y"}
+        with pytest.raises(SchemaError,
+                           match="^layer 5 keys must be non-empty strings$"):
+            NineLayerDeclaration(layers=tuple(layers))
+
+    def test_str_subclass_layer_key_is_accepted(self):
+        declaration = NineLayerDeclaration(
+            layers=({StrKey("framework"): "x"},) + ({},) * 8)
+        assert declaration.layer(1) == {"framework": "x"}
 
     def test_workload_positive_flops(self):
         with pytest.raises(SchemaError, match="flops_per_sample"):
@@ -238,6 +256,24 @@ class TestInterning:
         doc["system"]["num_nodes"] = 8.0
         with pytest.raises(SchemaError, match="num_nodes"):
             loads(json.dumps(doc), "run", _intern=table)
+
+    @pytest.mark.parametrize("path, values", [
+        (("node", "accelerator", "name"), (True, 1, 1.0)),
+        (("node", "storage"), (0.0, -0.0)),
+    ], ids=["bool-int-float", "signed-zero"])
+    def test_equal_values_of_other_types_never_share(self, path, values):
+        table = {}
+        texts, parsed = [], []
+        for value in values:
+            doc = json.loads(dumps(make_run()))
+            parent = doc["system"]
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+            texts.append(json.dumps(doc))
+            parsed.append(loads(texts[-1], "run", _intern=table))
+        assert len({id(run.system) for run in parsed}) == len(values)
+        assert [json.dumps(run.to_dict()) for run in parsed] == texts
 
     def test_invalid_sub_document_is_never_stored(self):
         doc = json.loads(dumps(make_run()))

@@ -327,6 +327,29 @@ class TestIngest:
         (diag,) = result.diagnostics
         assert (diag.path, diag.kind) == (str(tmp_path / "a.json"), "parse")
 
+    def test_encodings_json_loads_would_guess_are_parse_diagnostics(
+            self, tmp_path):
+        # Given bytes, json.loads accepts each of these as a valid record.
+        doc = json.loads(dumps(make_run("a")))
+        doc["declaration"]["layers"][0]["note"] = "\ud800"
+        text = dumps(make_run("a"))
+        files = {
+            "bom.json": b"\xef\xbb\xbf" + text.encode("utf-8"),
+            "utf16.json": text.encode("utf-16"),
+            "surrogate.json": json.dumps(doc, ensure_ascii=False).encode(
+                "utf-8", "surrogatepass"),
+        }
+        assert b"\xed\xa0\x80" in files["surrogate.json"]
+        for name, data in files.items():
+            RunRecord.from_dict(json.loads(data))
+            (tmp_path / name).write_bytes(data)
+        (tmp_path / "good.json").write_text(dumps(make_run("b")))
+        result = ingest(tmp_path)
+        assert [r.run_id for r in result.records] == ["b"]
+        assert sorted((Path(d.path).name, d.kind)
+                      for d in result.diagnostics) == [
+            (name, "parse") for name in sorted(files)]
+
     @given(st.one_of(
         st.binary(max_size=300),
         st.builds(lambda i, b: _RECORD[:i] + b + _RECORD[i + len(b):],
