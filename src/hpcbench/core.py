@@ -377,9 +377,6 @@ LAYER_NAMES = {
 }
 
 
-_STR_TYPE = frozenset({str})
-
-
 @dataclass(frozen=True)
 class NineLayerDeclaration(JsonCodec):
     """Full-stack declaration of a run, one key/value map per layer.
@@ -400,13 +397,9 @@ class NineLayerDeclaration(JsonCodec):
         for i, layer in enumerate(self.layers, start=1):
             if not _is_mapping(layer):
                 raise SchemaError(f"layer {i} must be a key/value mapping")
-            # Exact-``str`` keys without "" pass at C speed; anything else
-            # (a ``str`` subclass, a bad key) takes the per-key check.
-            if "" in layer or not _STR_TYPE.issuperset(map(type, layer)):
-                for key in layer:
-                    if not isinstance(key, str) or key == "":
-                        raise SchemaError(
-                            f"layer {i} keys must be non-empty strings")
+            for key in layer:
+                if not isinstance(key, str) or key == "":
+                    raise SchemaError(f"layer {i} keys must be non-empty strings")
             frozen.append(dict(layer))
         object.__setattr__(self, "layers", tuple(frozen))
 

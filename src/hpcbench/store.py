@@ -123,8 +123,7 @@ def ingest(*paths, lenient: bool = False) -> IngestResult:
     for file in (f for path in paths for f in _json_files(Path(path))):
         name = str(file)
         try:
-            with open(name, "rb") as fh:
-                text = fh.read().decode("utf-8")
+            text = file.read_bytes().decode("utf-8")
             record = loads(text, "run", lenient=lenient, path=name,
                            _intern=intern)
         except (ParseError, UnicodeDecodeError) as exc:

@@ -45,6 +45,21 @@ def make_run(run_id="r1", quality=None, wall_time=1000.0, scale=8,
 _RECORD = dumps(make_run()).encode("utf-8")
 
 
+def _with_encoded_surrogate(record):
+    doc = json.loads(record)
+    doc["declaration"]["layers"][0]["note"] = "\ud800"
+    return json.dumps(doc, ensure_ascii=False).encode("utf-8", "surrogatepass")
+
+
+# Given bytes, json.loads skips a UTF-8 BOM, guesses UTF-16 and passes an
+# encoded surrogate (b"\xed\xa0\x80"): each of these is a valid record to it.
+_GUESSED_ENCODINGS = [b"\xef\xbb\xbf" + _RECORD,
+                      _RECORD.decode("utf-8").encode("utf-16"),
+                      _with_encoded_surrogate(_RECORD)]
+for _data in _GUESSED_ENCODINGS:
+    RunRecord.from_dict(json.loads(_data))
+
+
 def _field_paths(doc, prefix=()):
     """Every key path into ``doc``, through objects and arrays."""
     items = (doc.items() if isinstance(doc, dict)
@@ -317,8 +332,10 @@ class TestIngest:
         assert "line 1" in result.diagnostics[0].error
 
     @pytest.mark.parametrize("data", [
-        b"\xff\xfe{}", b"[" * 200000, b"[" + b"1" * 5000 + b"]"],
-        ids=["not-utf8", "too-deep", "long-integer"])
+        b"\xff\xfe{}", b"[" * 200000, b"[" + b"1" * 5000 + b"]",
+        *_GUESSED_ENCODINGS],
+        ids=["not-utf8", "too-deep", "long-integer",
+             "bom", "utf16", "encoded-surrogate"])
     def test_undecodable_bytes_are_parse_diagnostics(self, tmp_path, data):
         (tmp_path / "a.json").write_bytes(data)
         (tmp_path / "b.json").write_text(dumps(make_run("b")))
@@ -326,29 +343,6 @@ class TestIngest:
         assert [r.run_id for r in result.records] == ["b"]
         (diag,) = result.diagnostics
         assert (diag.path, diag.kind) == (str(tmp_path / "a.json"), "parse")
-
-    def test_encodings_json_loads_would_guess_are_parse_diagnostics(
-            self, tmp_path):
-        # Given bytes, json.loads accepts each of these as a valid record.
-        doc = json.loads(dumps(make_run("a")))
-        doc["declaration"]["layers"][0]["note"] = "\ud800"
-        text = dumps(make_run("a"))
-        files = {
-            "bom.json": b"\xef\xbb\xbf" + text.encode("utf-8"),
-            "utf16.json": text.encode("utf-16"),
-            "surrogate.json": json.dumps(doc, ensure_ascii=False).encode(
-                "utf-8", "surrogatepass"),
-        }
-        assert b"\xed\xa0\x80" in files["surrogate.json"]
-        for name, data in files.items():
-            RunRecord.from_dict(json.loads(data))
-            (tmp_path / name).write_bytes(data)
-        (tmp_path / "good.json").write_text(dumps(make_run("b")))
-        result = ingest(tmp_path)
-        assert [r.run_id for r in result.records] == ["b"]
-        assert sorted((Path(d.path).name, d.kind)
-                      for d in result.diagnostics) == [
-            (name, "parse") for name in sorted(files)]
 
     @given(st.one_of(
         st.binary(max_size=300),
