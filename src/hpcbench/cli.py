@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Subcommands: ``validate``, ``score``, ``aggregate``, ``rank``,
-``roofline``, ``simulate``, ``report``.  Common flags ``--store``,
-``--lenient`` and ``--format {md,json,csv}`` are accepted by every data
-subcommand.  Exit codes: 0 success, 1 internal error (an I/O failure, a
-locked store), 2 rule violations present, 3 bad input: a schema error,
-a bad command-line argument, or a request the benchmarking procedure
-does not define (too few runs, mixed configurations).
+``roofline``, ``simulate``, ``report``.  Each accepts only the flags it
+reads: ``--store`` (record commands), ``--lenient`` (record commands and
+``roofline``), ``--format`` (record commands and ``simulate``; ``csv``
+only where a table is printed).  Exit codes: 0 success, 1 internal error
+(an I/O failure, a locked store), 2 rule violations present, 3 bad
+input: a schema error, a bad command-line argument, or a request the
+benchmarking procedure does not define (too few runs, mixed
+configurations).
 
 Each invocation is an independent process over the file store; there is
 no daemon state.
@@ -39,13 +41,7 @@ from .errors import (
     SchemaError,
 )
 from .metrics import score_run
-from .roofline import (
-    Ceiling,
-    RooflineMode,
-    RooflinePoint,
-    build_model,
-    export_plot,
-)
+from .roofline import Ceiling, RooflinePoint, build_model, export_plot
 from .store import _json_files, ingest
 
 __all__ = ["main"]
@@ -58,14 +54,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_SCHEMA, f"{self.prog}: error: {message}\n")
-
-
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--store", help="results store directory")
-    parser.add_argument("--lenient", action="store_true",
-                        help="accept unknown JSON fields")
-    parser.add_argument("--format", choices=("md", "json", "csv"),
-                        default="md", help="output format")
 
 
 def _load_runs(args) -> tuple[list[RunRecord], tuple]:
@@ -101,6 +89,10 @@ def _runs(args, verb: str) -> list[RunRecord]:
     if not records:
         raise SchemaError(f"no runs to {verb}")
     return records
+
+
+#: ``--format`` choices of the commands that print through _emit_table.
+_TABLE_FORMATS = ("md", "json", "csv")
 
 
 def _emit_table(fmt: str, docs: list, columns) -> None:
@@ -191,8 +183,7 @@ def _configuration(records: list[RunRecord]):
     that."""
     configs = []
     for r in records:
-        key = (r.workload.name, r.system, r.scale, r.precision,
-               r.global_batchsize)
+        key = rules.configuration_key(r)
         if key not in configs:
             configs.append(key)
     if len(configs) > 1:
@@ -260,8 +251,7 @@ def _cmd_roofline(args) -> int:
     if args.ceilings:
         ceilings = tuple(Ceiling.from_dict(c, args.lenient)
                          for c in _read_array(args.ceilings, "ceilings"))
-    model = build_model(system, RooflineMode(args.mode), ceilings,
-                        precision=PrecisionMode(args.precision))
+    model = build_model(system, args.mode, ceilings, precision=args.precision)
     points = []
     if args.points:
         for entry in _read_array(args.points, "points"):
@@ -325,10 +315,14 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _record_command(sub, name: str, func, help: str):
+def _record_command(sub, name: str, func, help: str,
+                    formats: tuple = ("md", "json")):
     """A subcommand over run records from --store and positional paths."""
     p = sub.add_parser(name, help=help)
-    _common_flags(p)
+    p.add_argument("--store", help="results store directory")
+    p.add_argument("--lenient", action="store_true",
+                   help="accept unknown JSON fields")
+    p.add_argument("--format", choices=formats, default="md")
     p.add_argument("runs", nargs="*", help="run JSON files or directories")
     p.add_argument("--select", help="run_id glob filter")
     p.add_argument("--workload", help="restrict to one workload subtree")
@@ -348,14 +342,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", required=True,
                    help="reference declaration JSON")
     _record_command(sub, "score", _cmd_score,
-                    "compute FLOPS/VFLOPS scores per run")
+                    "compute FLOPS/VFLOPS scores per run", _TABLE_FORMATS)
     _record_command(sub, "aggregate", _cmd_aggregate,
                     "drop-extremes aggregate of trials")
-    p = _record_command(sub, "rank", _cmd_rank, "rank runs by VFLOPS")
+    p = _record_command(sub, "rank", _cmd_rank, "rank runs by VFLOPS",
+                        _TABLE_FORMATS)
     p.add_argument("--reference", help="optional declaration for rule status")
 
     p = sub.add_parser("roofline", help="build a roofline and export CSV/SVG")
-    _common_flags(p)
+    p.add_argument("--lenient", action="store_true",
+                   help="accept unknown JSON fields")
     p.add_argument("--system", required=True, help="system config JSON")
     p.add_argument("--mode", choices=("single_node", "distributed"),
                    default="distributed")
@@ -368,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_roofline)
 
     p = sub.add_parser("simulate", help="run a training scenario sweep")
-    _common_flags(p)
+    p.add_argument("--format", choices=_TABLE_FORMATS, default="md")
     p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("--out", help="directory for run records and sweep.csv")
     p.set_defaults(func=_cmd_simulate)
@@ -382,6 +378,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys.stdout, "reconfigure"):
+        # a lone surrogate read from JSON prints escaped, not as a traceback
+        sys.stdout.reconfigure(errors="backslashreplace")
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -23,7 +23,7 @@ import json
 import marshal
 import math
 import re
-from typing import Any, Optional, get_args, get_origin, get_type_hints
+from typing import Any, Optional
 
 from .errors import MissingPrecision, ParseError, SchemaError
 
@@ -96,9 +96,16 @@ def _int(value: Any, name: str, minimum: int) -> int:
     return value
 
 
-def _coerce(enum: type, value: Any):
-    """``enum(value)``, without the enum call when ``value`` is a member."""
-    return value if type(value) is enum else enum(value)
+def _coerce(enum: type, value: Any, name: str):
+    """``enum(value)`` for field ``name``: the one place an enum value
+    becomes a member.  An undefined value is a :class:`SchemaError`."""
+    if type(value) is enum:
+        return value
+    try:
+        return enum(value)
+    except ValueError as exc:  # "unknown precision mode in precision: ..."
+        what = re.sub(r"(?<=[a-z])(?=[A-Z])", " ", enum.__name__).lower()
+        raise SchemaError(f"unknown {what} in {name}: {exc}") from None
 
 
 @cache
@@ -121,36 +128,18 @@ def _check_known_fields(data: Mapping[str, Any], cls, lenient: bool) -> dict:
 
 # -- the JSON codec -----------------------------------------------------
 
-_NESTED, _ENUM, _ENUM_KEYS = "nested", "enum", "enum keys"
-
-
-def _is_enum(tp) -> bool:
-    return isinstance(tp, type) and issubclass(tp, Enum)
-
-
 @cache
 def _field_order(cls) -> tuple:
     return tuple(f.name for f in fields(cls))
 
 
 @cache
-def _plan(cls) -> tuple:
-    """The decode plan of ``cls``: ``(field, case, type)`` for each field
-    whose JSON value is built before construction, read from the type
-    hints.  A nested dataclass is built from an object, an enum is
-    coerced from its value, and a mapping keyed by an enum has its keys
-    coerced; any other value reaches ``__post_init__`` as decoded."""
-    hints = get_type_hints(cls)
-    plan = []
-    for name in _field_order(cls):
-        tp = hints[name]
-        if isinstance(tp, type) and is_dataclass(tp):
-            plan.append((name, _NESTED, tp))
-        elif _is_enum(tp):
-            plan.append((name, _ENUM, tp))
-        elif get_origin(tp) is Mapping and _is_enum(get_args(tp)[0]):
-            plan.append((name, _ENUM_KEYS, get_args(tp)[0]))
-    return tuple(plan)
+def _nested(cls) -> tuple:
+    """``(field, type)`` of each field of ``cls`` whose type is a
+    dataclass: its JSON object is built before construction.  Any other
+    value, enums included, reaches ``__post_init__`` as decoded."""
+    return tuple((f.name, f.type) for f in fields(cls)
+                 if isinstance(f.type, type) and is_dataclass(f.type))
 
 
 _SCALARS = frozenset({str, int, float, bool, type(None)})
@@ -175,8 +164,9 @@ class JsonCodec:
 
     ``to_dict`` writes the fields in declaration order and enums as
     their values.  ``from_dict`` rejects unknown fields unless
-    ``lenient`` and builds the fields named by the class's plan (see
-    :func:`_plan`); every failure is a
+    ``lenient`` and builds the nested dataclass fields (see
+    :func:`_nested`); each class's ``__post_init__`` checks the rest and
+    coerces its enums.  Every failure is a
     :class:`~hpcbench.errors.SchemaError`.
     """
 
@@ -196,23 +186,14 @@ class JsonCodec:
         if not _is_mapping(data):
             raise SchemaError(f"{cls.__name__} must be an object")
         kwargs = _check_known_fields(data, cls, lenient)
-        for name, case, tp in _plan(cls):
+        for name, tp in _nested(cls):
             if name not in kwargs:
                 continue  # the constructor reports a missing field
             raw = kwargs[name]
-            if case is not _ENUM and not _is_mapping(raw):
+            if not _is_mapping(raw):
                 raise SchemaError(f"{name} must be an object")
-            if case is _NESTED:
-                kwargs[name] = _interned(_intern if tp in _SHARED else None,
-                                         tp, raw, lenient)
-                continue
-            try:
-                kwargs[name] = (_coerce(tp, raw) if case is _ENUM else
-                                {_coerce(tp, k): v for k, v in raw.items()})
-            except ValueError as exc:
-                # "PrecisionMode" -> "unknown precision mode in peak_flops"
-                what = re.sub(r"(?<=[a-z])(?=[A-Z])", " ", tp.__name__).lower()
-                raise SchemaError(f"unknown {what} in {name}: {exc}") from None
+            kwargs[name] = _interned(_intern if tp in _SHARED else None,
+                                     tp, raw, lenient)
         try:
             return cls(**kwargs)
         except TypeError as exc:  # missing required fields
@@ -247,9 +228,10 @@ class AcceleratorSpec(JsonCodec):
     memory_capacity: float   # bytes
 
     def __post_init__(self):
-        peaks = {}
-        for mode, rate in dict(self.peak_flops).items():
-            mode = _coerce(PrecisionMode, mode)
+        _require(_is_mapping(self.peak_flops), "peak_flops must be an object")
+        peaks = {_coerce(PrecisionMode, mode, "peak_flops"): rate
+                 for mode, rate in self.peak_flops.items()}
+        for mode, rate in peaks.items():
             rate = _num(rate, f"peak_flops[{mode.value}]")
             if not rate > 0:
                 raise SchemaError(f"peak_flops[{mode.value}] must be positive")
@@ -444,6 +426,10 @@ class RunRecord(JsonCodec):
     average_power: Optional[float] = None  # watts
 
     def __post_init__(self):
+        object.__setattr__(self, "precision",
+                           _coerce(PrecisionMode, self.precision, "precision"))
+        object.__setattr__(self, "level",
+                           _coerce(BenchLevel, self.level, "level"))
         _require(isinstance(self.run_id, str) and self.run_id != "",
                  "run_id must be a non-empty string")
         try:
@@ -469,9 +455,6 @@ class RunRecord(JsonCodec):
         if self.average_power is not None:
             _require(_num(self.average_power, "average_power") > 0,
                      "average_power must be positive when present")
-        object.__setattr__(self, "precision",
-                           _coerce(PrecisionMode, self.precision))
-        object.__setattr__(self, "level", _coerce(BenchLevel, self.level))
 
 
 #: Sub-documents of a run that one ingest may share between records.

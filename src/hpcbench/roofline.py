@@ -33,6 +33,7 @@ from .core import (
     RunRecord,
     SystemConfig,
     WorkloadSpec,
+    _coerce,
     _num,
     derive_peaks,
 )
@@ -45,6 +46,7 @@ from .errors import (
     SchemaError,
     UnknownCeiling,
 )
+from .simulator import TopologySpec, allreduce_traffic
 
 __all__ = [
     "INFINITE_COI",
@@ -93,11 +95,11 @@ class Ceiling(JsonCodec):
     value: float
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", _coerce(CeilingKind, self.kind, "kind"))
         if not isinstance(self.name, str) or not self.name:
             raise SchemaError("ceiling name must be a non-empty string")
         if _num(self.value, f"ceiling {self.name!r} value") <= 0:
             raise SchemaError(f"ceiling {self.name!r} must be positive")
-        object.__setattr__(self, "kind", CeilingKind(self.kind))
 
 
 class RooflineMode(str, Enum):
@@ -130,7 +132,7 @@ class RooflineModel:
     ceilings: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "mode", RooflineMode(self.mode))
+        object.__setattr__(self, "mode", _coerce(RooflineMode, self.mode, "mode"))
         if _num(self.peak_flops, "peak_flops") <= 0:
             raise SchemaError("peak_flops must be positive")
         if _num(self.peak_band, "peak_band") <= 0:
@@ -265,7 +267,7 @@ def build_model(system: SystemConfig, mode: RooflineMode,
     on the effective inter-node bandwidth with the full-system peak.
     Measured ceilings are attached verbatim.
     """
-    mode = RooflineMode(mode)
+    mode = _coerce(RooflineMode, mode, "mode")
     single, distributed = derive_peaks(system, precision)
     if mode is RooflineMode.SINGLE_NODE:
         peak_flops, peak_band = single, system.node.intra_node_bandwidth
@@ -301,8 +303,6 @@ def place_run(run: RunRecord, workload: Optional[WorkloadSpec] = None,
     :class:`Fabric`).  The measured sustained FLOPS becomes the point's
     ``attained`` value when throughput was recorded.
     """
-    from .simulator import TopologySpec, allreduce_traffic
-
     wl = workload if workload is not None else run.workload
     if wl.comp_per_step <= 0:
         raise IncompletePoint(
@@ -314,7 +314,7 @@ def place_run(run: RunRecord, workload: Optional[WorkloadSpec] = None,
 
     apn = run.system.node.accelerators_per_node
     nodes_used = math.ceil(run.scale / apn)
-    fabric = Fabric(fabric)
+    fabric = _coerce(Fabric, fabric, "fabric")
     if fabric is Fabric.AUTO:
         fabric = Fabric.INTER if nodes_used > 1 else Fabric.INTRA
     participants = nodes_used if fabric is Fabric.INTER else run.scale
@@ -374,7 +374,7 @@ def apply_whatif(point: RooflinePoint,
         if transform.batch_scale <= 0:
             raise InvalidTransform(
                 f"batch scale must be positive, got {transform.batch_scale}")
-        mode = PrecisionMode(transform.mode)
+        mode = _coerce(PrecisionMode, transform.mode, "mode")
         new_coi = point.coi if math.isinf(point.coi) else point.coi * transform.batch_scale
         return replace(point,
                        label=f"{point.label}->{mode.value}",

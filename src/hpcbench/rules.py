@@ -32,6 +32,7 @@ from .core import (
     NineLayerDeclaration,
     RunRecord,
     WorkloadSpec,
+    _coerce,
 )
 from .errors import (
     IncomparableWorkloads,
@@ -79,6 +80,8 @@ class Violation(JsonCodec):
     message: str
 
     def __post_init__(self):
+        object.__setattr__(self, "severity",
+                           _coerce(Severity, self.severity, "severity"))
         if not (1 <= self.layer <= 9):
             raise SchemaError("violation layer must be in [1, 9]")
 
@@ -205,7 +208,7 @@ def check_equivalence(a: NineLayerDeclaration, b: NineLayerDeclaration,
     different workloads cannot be meaningfully compared below the free
     level and raise :class:`IncomparableWorkloads`.
     """
-    level = BenchLevel(level)
+    level = _coerce(BenchLevel, level, "level")
     policy = POLICIES[level]
     ids = (_canon_value("id", a.workload_id), _canon_value("id", b.workload_id))
     if ids[0] != ids[1] and level is not BenchLevel.FREE:
@@ -254,6 +257,9 @@ class LearningRateSchedule:
     total_epochs: int
     decay: Decay
 
+    def __post_init__(self):
+        object.__setattr__(self, "decay", _coerce(Decay, self.decay, "decay"))
+
     def at(self, epoch: float) -> float:
         if epoch < 0 or epoch > self.total_epochs:
             raise InvalidSchedule(
@@ -294,7 +300,7 @@ def lr_schedule(base_lr: float, k: float, warmup_epochs: int,
             f"({total_epochs})")
     return LearningRateSchedule(base_lr=base_lr, k=k,
                                 warmup_epochs=warmup_epochs,
-                                total_epochs=total_epochs, decay=Decay(decay))
+                                total_epochs=total_epochs, decay=decay)
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -369,12 +375,15 @@ class RepeatabilityReport:
     runs: tuple
 
 
+def configuration_key(run: RunRecord) -> tuple:
+    """Workload name, system, scale, precision and global batch size:
+    repeats and the drop-extremes aggregate are defined per key."""
+    return (run.workload.name, run.system, run.scale, run.precision,
+            run.global_batchsize)
+
+
 def _same_repetition(a: RunRecord, b: RunRecord) -> bool:
-    return (a.workload.name == b.workload.name
-            and a.system == b.system
-            and a.scale == b.scale
-            and a.precision == b.precision
-            and a.global_batchsize == b.global_batchsize
+    return (configuration_key(a) == configuration_key(b)
             and a.level == b.level
             and all(not _diff_keys(a.declaration.layer(i), b.declaration.layer(i))
                     for i in range(1, 10)))

@@ -39,6 +39,7 @@ from .core import (
     RunRecord,
     SystemConfig,
     WorkloadSpec,
+    _coerce,
     _int,
     _is_mapping,
     _num,
@@ -89,7 +90,7 @@ class TopologySpec(JsonCodec):
     groups: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", TopologyKind(self.kind))
+        object.__setattr__(self, "kind", _coerce(TopologyKind, self.kind, "kind"))
         if _num(self.per_message_latency, "per_message_latency") < 0:
             raise SchemaError("per_message_latency must be non-negative")
         _int(self.groups, "groups", 1)
@@ -229,6 +230,7 @@ class SimulationOptions(JsonCodec):
     extra_declaration: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "level", _coerce(BenchLevel, self.level, "level"))
         if not (0.0 <= _num(self.achieved_quality, "achieved_quality") <= 1.0):
             raise SchemaError("achieved_quality must be declared in [0, 1]")
         if not (0.0 < _num(self.compute_efficiency, "compute_efficiency") <= 1.0):
@@ -393,7 +395,7 @@ def simulate_training(system: SystemConfig, workload: WorkloadSpec,
     against ``options.baseline_scale`` (default: the single-node scale)
     at the same per-rank batch.
     """
-    precision = PrecisionMode(precision)
+    precision = _coerce(PrecisionMode, precision, "precision")
     if global_batchsize % scale:
         raise BatchShardError(
             f"global batch {global_batchsize} does not shard over "
@@ -461,6 +463,11 @@ def sweep_csv(results: Sequence[SimulationResult]) -> str:
     return buf.getvalue()
 
 
+_SCENARIO_KEYS = frozenset({"system", "workload", "sweep", "per_rank_batch",
+                            "precision", "topology", "alpha", "options",
+                            "options_by_scale"})
+
+
 def run_scenario(scenario, out_dir=None) -> list[SimulationResult]:
     """Run a JSON scenario: a system, a workload, and a scale sweep.
 
@@ -471,7 +478,8 @@ def run_scenario(scenario, out_dir=None) -> list[SimulationResult]:
          "alpha": 0.9, "options": {...}}
 
     Per-scale option overrides may be given as ``options_by_scale``
-    keyed by the scale as a string.  When ``out_dir`` is set, one run
+    keyed by the scale as a string; any other key is a
+    :class:`SchemaError`.  When ``out_dir`` is set, one run
     record JSON per scale plus a ``sweep.csv`` summary are written
     there; run ids must be safe file names, as in the results store.
     """
@@ -481,16 +489,16 @@ def run_scenario(scenario, out_dir=None) -> list[SimulationResult]:
     if (not _is_mapping(scenario) or "system" not in scenario
             or "workload" not in scenario):
         raise SchemaError("scenario needs 'system' and 'workload' objects")
+    unknown = sorted(map(str, set(scenario) - _SCENARIO_KEYS))
+    _require(not unknown, f"unknown scenario keys: {', '.join(unknown)}")
     system = SystemConfig.from_dict(scenario["system"])
     workload = WorkloadSpec.from_dict(scenario["workload"])
     sweep = scenario.get("sweep")
     if not sweep or not isinstance(sweep, (list, tuple)):
         raise SchemaError("scenario must list at least one scale in 'sweep'")
     per_rank_batch = _int(scenario.get("per_rank_batch", 1), "per_rank_batch", 1)
-    try:
-        precision = PrecisionMode(scenario.get("precision", "fp32"))
-    except ValueError as exc:
-        raise SchemaError(f"scenario precision: {exc}") from None
+    precision = _coerce(PrecisionMode, scenario.get("precision", "fp32"),
+                        "precision")
     topology = TopologySpec.from_dict(scenario.get("topology", {"kind": "ring"}))
     overlap = OverlapModel(alpha=scenario.get("alpha", 1.0))
     base_options = scenario.get("options", {})

@@ -189,6 +189,17 @@ class TestRecordInputs:
         assert [line.split(",")[0].split()[0]
                 for line in out.splitlines()] == ["run_id", good.run_id]
 
+    @pytest.mark.parametrize("fmt", ["md", "csv"])
+    def test_lone_surrogate_in_a_printed_name_is_escaped(
+            self, ranking_store, tmp_path, capsys, fmt):
+        doc = json.loads(dumps(ranking_store["runs"][0]))
+        doc["system"]["node"]["accelerator"]["name"] = "a\ud800b"
+        (tmp_path / "run.json").write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "rank", str(tmp_path),
+                                 "--format", fmt)
+        assert (code, err) == (0, "")
+        assert "a\\ud800b" in out
+
     def test_read_does_not_create_the_store(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, "score", "--store",
                                str(tmp_path / "absent"), "--format", "json")
@@ -409,6 +420,21 @@ class TestHostileInputs:
                   "--precision", "fp64"])
         assert info.value.code == 3
         assert "error: argument --precision" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["roofline", "--system", "s.json", "--store", "runs"],
+        ["roofline", "--system", "s.json", "--format", "json"],
+        ["simulate", "scenario.json", "--store", "runs"],
+        ["simulate", "scenario.json", "--lenient"],
+        ["validate", "--reference", "r.json", "--format", "csv"],
+        ["aggregate", "--format", "csv"],
+        ["report", "--reference", "r.json", "--format", "csv"],
+    ])
+    def test_flag_the_command_does_not_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 3
+        assert "error: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
         ("per_rank_batch", "abc"),

@@ -374,6 +374,7 @@ class TestScenario:
         ("options", {"achieved_quality": 0.35, "gradient_tensors": 1.5},
          "gradient_tensors"),
         ("options", [1], "options"),
+        ("aplha", 0.9, "aplha"),
     ])
     def test_bad_scenario_values_are_schema_errors(self, tmp_path, ewa, key,
                                                    value, name):
