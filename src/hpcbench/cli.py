@@ -28,6 +28,7 @@ from .core import (
     NineLayerDeclaration,
     PrecisionMode,
     RunRecord,
+    _check_known_fields,
     _is_mapping,
     _parse_json,
     loads,
@@ -97,7 +98,8 @@ _TABLE_FORMATS = ("md", "json", "csv")
 
 def _emit_table(fmt: str, docs: list, columns) -> None:
     """Print ``docs`` as one JSON document, or their ``columns`` as md or
-    csv rows; a column is (header, key, format spec), None prints blank."""
+    csv rows; a column is (header, key, format spec), None prints blank.
+    md cells are measured as stdout prints them (see ``main``)."""
     if fmt == "json":
         print(json.dumps(docs, indent=2))
         return
@@ -107,6 +109,9 @@ def _emit_table(fmt: str, docs: list, columns) -> None:
     if fmt == "csv":
         csv.writer(sys.stdout, lineterminator="\n").writerows([headers, *rows])
     else:
+        enc = sys.stdout.encoding or "utf-8"
+        rows = [[c.encode(enc, "backslashreplace").decode(enc) for c in row]
+                for row in rows]
         widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
                   for i, h in enumerate(headers)]
         print("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
@@ -134,8 +139,8 @@ def _audit(records: list[RunRecord],
 
 
 def _read_declaration(path: str, lenient: bool) -> NineLayerDeclaration:
-    return loads(Path(path).read_text(encoding="utf-8"), "declaration",
-                 lenient=lenient, path=path)
+    return loads(Path(path).read_bytes(), "declaration", lenient=lenient,
+                 path=path)
 
 
 def _cmd_validate(args) -> int:
@@ -175,30 +180,9 @@ def _cmd_score(args) -> int:
     return EXIT_SCHEMA if diagnostics else EXIT_OK
 
 
-def _configuration(records: list[RunRecord]):
-    """The workload of ``records``, which must share one configuration:
-    workload, system, scale, precision and global batch size.  The
-    drop-extremes aggregate and the report are defined per
-    configuration.  Declarations may differ; the rule audit reports
-    that."""
-    configs = []
-    for r in records:
-        key = rules.configuration_key(r)
-        if key not in configs:
-            configs.append(key)
-    if len(configs) > 1:
-        raise SchemaError(
-            f"runs span {len(configs)} configurations: " + "; ".join(
-                f"{w} on {s.num_nodes}x{s.node.accelerators_per_node} "
-                f"{s.node.accelerator.name}, scale {n}, {p.value}, batch {b}"
-                for w, s, n, p, b in configs)
-            + "; narrow with --workload or --select")
-    return records[0].workload
-
-
 def _cmd_aggregate(args) -> int:
     records = _runs(args, "aggregate")
-    workload = _configuration(records)
+    workload = records[0].workload
     agg = rules.aggregate_runs(records, workload)
     doc = {
         "workload": workload.name,
@@ -238,14 +222,14 @@ def _cmd_rank(args) -> int:
 
 
 def _read_array(path: str, what: str) -> list:
-    raw = _parse_json(Path(path).read_text(encoding="utf-8"), path)
+    raw = _parse_json(Path(path).read_bytes(), path)
     if not isinstance(raw, list):
         raise SchemaError(f"{what} file {path} must hold a JSON array")
     return raw
 
 
 def _cmd_roofline(args) -> int:
-    system = loads(Path(args.system).read_text(encoding="utf-8"), "system",
+    system = loads(Path(args.system).read_bytes(), "system",
                    lenient=args.lenient, path=args.system)
     ceilings = ()
     if args.ceilings:
@@ -255,17 +239,12 @@ def _cmd_roofline(args) -> int:
     points = []
     if args.points:
         for entry in _read_array(args.points, "points"):
-            if not _is_mapping(entry):
-                raise SchemaError(f"point entries must be objects: {entry!r}")
+            if args.lenient and _is_mapping(entry):
+                entry = _check_known_fields(entry, RooflinePoint, True)
             try:
-                points.append(RooflinePoint.from_traffic(
-                    label=entry["label"], flops_total=entry["flops_total"],
-                    comm_traffic=entry["comm_traffic"],
-                    attained=entry.get("attained")))
-            except KeyError as exc:
-                raise SchemaError(
-                    f"point entries need label/flops_total/comm_traffic "
-                    f"(missing {exc})") from None
+                points.append(RooflinePoint.from_traffic(**entry))
+            except TypeError as exc:  # not an object, a missing or unknown key
+                raise SchemaError(f"point entry {entry!r}: {exc}") from None
     artifact = export_plot(model, points)
     if args.out_csv:
         Path(args.out_csv).write_text(artifact.csv, encoding="utf-8")
@@ -291,10 +270,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_report(args) -> int:
     records = _runs(args, "report")
-    workload = _configuration(records)
+    workload = records[0].workload
+    agg = rules.aggregate_runs(records, workload)
     reference = _read_declaration(args.reference, args.lenient)
     violations = [v for found in _audit(records, reference) for v in found]
-    agg = rules.aggregate_runs(records, workload)
     scores = {r.run_id: score_run(r) for r in records}
     doc = report_mod.emit_report(
         aggregate=agg, violations=violations, scores=scores,
@@ -390,9 +369,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except UnicodeDecodeError as exc:
-        print(f"error: input is not UTF-8: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
 
 
 if __name__ == "__main__":

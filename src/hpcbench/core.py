@@ -510,22 +510,26 @@ _TYPE_BY_KIND = {
 }
 
 
-def _parse_json(text: str, path=None):
-    """``json.loads`` of an input document.  Invalid JSON raises
-    :class:`ParseError`, and so does JSON the parser refuses to build:
-    nesting deeper than the recursion limit, an integer literal longer
-    than the interpreter converts."""
+def _parse_json(text, path=None):
+    """``json.loads`` of an input document: text, or the bytes of a file,
+    decoded as strict UTF-8 (given bytes, ``json.loads`` would also accept
+    UTF-16/32, a byte-order mark and encoded surrogates).  Bytes that are
+    not UTF-8, invalid JSON and JSON the parser refuses to build (nesting
+    deeper than the recursion limit, an integer literal longer than the
+    interpreter converts) raise :class:`ParseError`."""
     try:
+        if type(text) is bytes:
+            text = text.decode("utf-8")
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, path=path, line=exc.lineno, offset=exc.colno) from None
-    except (RecursionError, ValueError) as exc:
+    except (RecursionError, ValueError) as exc:  # bytes not UTF-8 too
         raise ParseError(str(exc), path=path) from None
 
 
-def loads(text: str, kind: str, lenient: bool = False, path=None, *,
+def loads(text, kind: str, lenient: bool = False, path=None, *,
           _intern: Optional[dict] = None):
-    """Parse a JSON document into the named domain type.
+    """Parse a JSON document (text or file bytes) into the named type.
 
     ``kind`` is one of ``system``, ``workload``, ``run``,
     ``declaration``.  Unknown fields are rejected unless ``lenient``.

@@ -342,6 +342,11 @@ class Compress:
 
     factor: float
 
+    def __post_init__(self):
+        if not _num(self.factor, "compression factor") > 1:
+            raise InvalidTransform(
+                f"compression factor must exceed 1, got {self.factor}")
+
 
 @dataclass(frozen=True)
 class PrecisionShift:
@@ -356,14 +361,18 @@ class PrecisionShift:
     mode: PrecisionMode
     batch_scale: float = 1.0
 
+    def __post_init__(self):
+        object.__setattr__(self, "mode",
+                           _coerce(PrecisionMode, self.mode, "mode"))
+        if not _num(self.batch_scale, "batch scale") > 0:
+            raise InvalidTransform(
+                f"batch scale must be positive, got {self.batch_scale}")
+
 
 def apply_whatif(point: RooflinePoint,
                  transform: Union[Compress, PrecisionShift]) -> RooflinePoint:
     """Apply a what-if transform, returning the transformed point."""
     if isinstance(transform, Compress):
-        if transform.factor <= 1:
-            raise InvalidTransform(
-                f"compression factor must exceed 1, got {transform.factor}")
         if math.isinf(point.coi):
             return replace(point, label=f"{point.label}+compress")
         return replace(point,
@@ -371,13 +380,9 @@ def apply_whatif(point: RooflinePoint,
                        comm_traffic=point.comm_traffic / transform.factor,
                        coi=point.coi * transform.factor)
     if isinstance(transform, PrecisionShift):
-        if transform.batch_scale <= 0:
-            raise InvalidTransform(
-                f"batch scale must be positive, got {transform.batch_scale}")
-        mode = _coerce(PrecisionMode, transform.mode, "mode")
         new_coi = point.coi if math.isinf(point.coi) else point.coi * transform.batch_scale
         return replace(point,
-                       label=f"{point.label}->{mode.value}",
+                       label=f"{point.label}->{transform.mode.value}",
                        flops_total=point.flops_total * transform.batch_scale,
                        coi=new_coi,
                        attained=None)

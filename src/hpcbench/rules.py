@@ -33,6 +33,8 @@ from .core import (
     RunRecord,
     WorkloadSpec,
     _coerce,
+    _int,
+    _num,
 )
 from .errors import (
     IncomparableWorkloads,
@@ -259,6 +261,16 @@ class LearningRateSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "decay", _coerce(Decay, self.decay, "decay"))
+        if not _num(self.base_lr, "base_lr") > 0:
+            raise InvalidSchedule("base_lr must be positive")
+        if not _num(self.k, "k") >= 1:
+            raise InvalidSchedule(
+                f"batch multiplier k must be >= 1, got {self.k}")
+        if not (_int(self.warmup_epochs, "warmup_epochs", 0)
+                < _int(self.total_epochs, "total_epochs", 1)):
+            raise InvalidSchedule(
+                f"warmup ({self.warmup_epochs}) must be shorter than the "
+                f"schedule ({self.total_epochs})")
 
     def at(self, epoch: float) -> float:
         if epoch < 0 or epoch > self.total_epochs:
@@ -290,14 +302,6 @@ def lr_schedule(base_lr: float, k: float, warmup_epochs: int,
     by ``k``; warmup ramps to that scaled rate before the decay takes
     over.
     """
-    if base_lr <= 0:
-        raise InvalidSchedule("base_lr must be positive")
-    if k < 1:
-        raise InvalidSchedule(f"batch multiplier k must be >= 1, got {k}")
-    if warmup_epochs < 0 or warmup_epochs >= total_epochs:
-        raise InvalidSchedule(
-            f"warmup ({warmup_epochs}) must be shorter than the schedule "
-            f"({total_epochs})")
     return LearningRateSchedule(base_lr=base_lr, k=k,
                                 warmup_epochs=warmup_epochs,
                                 total_epochs=total_epochs, decay=decay)
@@ -315,6 +319,13 @@ def _variation(values: Sequence[float]) -> float:
     return math.sqrt(_mean([(v - mean) ** 2 for v in values])) / mean
 
 
+def configuration_key(run: RunRecord) -> tuple:
+    """Workload name, system, scale, precision and global batch size:
+    repeats and the drop-extremes aggregate are defined per key."""
+    return (run.workload.name, run.system, run.scale, run.precision,
+            run.global_batchsize)
+
+
 @dataclass(frozen=True)
 class AggregateResult:
     """Drop-extremes aggregate over one configuration's trials."""
@@ -330,11 +341,24 @@ def aggregate_runs(runs: Sequence[RunRecord],
                    workload: WorkloadSpec) -> AggregateResult:
     """Aggregate repeated trials of one workload configuration.
 
-    Requires at least ``workload.min_runs`` trials.  Trials are sorted
-    by (epochs_to_quality, run_id) and the single highest and lowest are
-    dropped before averaging scores; ties drop the first encountered in
-    that stable order.  Variation is reported over all submitted trials.
+    The trials must share one :func:`configuration_key`; declarations may
+    differ (the rule audit reports that).  Requires at least
+    ``workload.min_runs`` trials.  Trials are sorted by (epochs_to_quality,
+    run_id) and the single highest and lowest are dropped before averaging
+    scores; ties drop the first encountered in that stable order.
+    Variation is reported over all submitted trials.
     """
+    configs = []
+    for key in map(configuration_key, runs):
+        if key not in configs:
+            configs.append(key)
+    if len(configs) > 1:
+        raise SchemaError(
+            f"runs span {len(configs)} configurations: " + "; ".join(
+                f"{w} on {s.num_nodes}x{s.node.accelerators_per_node} "
+                f"{s.node.accelerator.name}, scale {n}, {p.value}, batch {b}"
+                for w, s, n, p, b in configs)
+            + "; narrow with --workload or --select")
     if len(runs) < workload.min_runs:
         raise InsufficientRuns(workload.min_runs, len(runs))
     ordered = sorted(runs, key=lambda r: (r.epochs_to_quality, r.run_id))
@@ -373,13 +397,6 @@ class RepeatabilityReport:
     mean_epochs_to_quality: float
     variation: float
     runs: tuple
-
-
-def configuration_key(run: RunRecord) -> tuple:
-    """Workload name, system, scale, precision and global batch size:
-    repeats and the drop-extremes aggregate are defined per key."""
-    return (run.workload.name, run.system, run.scale, run.precision,
-            run.global_batchsize)
 
 
 def _same_repetition(a: RunRecord, b: RunRecord) -> bool:

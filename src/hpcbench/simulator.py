@@ -477,15 +477,14 @@ def run_scenario(scenario, out_dir=None) -> list[SimulationResult]:
          "per_rank_batch": 128, "precision": "fp32", "topology": {...},
          "alpha": 0.9, "options": {...}}
 
-    Per-scale option overrides may be given as ``options_by_scale``
-    keyed by the scale as a string; any other key is a
-    :class:`SchemaError`.  When ``out_dir`` is set, one run
-    record JSON per scale plus a ``sweep.csv`` summary are written
-    there; run ids must be safe file names, as in the results store.
+    Per-scale option overrides may be given as ``options_by_scale``, keyed
+    by a swept scale as a string.  Any other key there or at the top level
+    is a :class:`SchemaError`.  When ``out_dir`` is set, one run record JSON
+    per scale plus a ``sweep.csv`` summary are written there; run ids must
+    be safe file names, as in the results store.
     """
     if not isinstance(scenario, dict):
-        scenario = _parse_json(Path(scenario).read_text(encoding="utf-8"),
-                               scenario)
+        scenario = _parse_json(Path(scenario).read_bytes(), scenario)
     if (not _is_mapping(scenario) or "system" not in scenario
             or "workload" not in scenario):
         raise SchemaError("scenario needs 'system' and 'workload' objects")
@@ -505,10 +504,13 @@ def run_scenario(scenario, out_dir=None) -> list[SimulationResult]:
     by_scale = scenario.get("options_by_scale", {})
     _require(_is_mapping(base_options) and _is_mapping(by_scale),
              "scenario options and options_by_scale must be objects")
+    sweep = [_int(scale, "sweep scale", 1) for scale in sweep]
+    unknown = sorted(map(str, set(by_scale) - set(map(str, sweep))))
+    _require(not unknown, f"options_by_scale keys name no swept scale: "
+                          f"{', '.join(unknown)}")
 
     results = []
     for scale in sweep:
-        scale = _int(scale, "sweep scale", 1)
         override = by_scale.get(str(scale), {})
         _require(_is_mapping(override),
                  f"scenario options_by_scale[{scale}] must be an object")

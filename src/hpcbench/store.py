@@ -109,12 +109,8 @@ def ingest(*paths, lenient: bool = False) -> IngestResult:
     duplicate table spans all ``paths``, so a run id that arrives twice
     is a ``duplicate run_id`` diagnostic and the first copy is kept.
     Identical ``system`` or ``workload`` sub-documents share one (frozen)
-    object, built and validated once per call.
-
-    Each file is read once as bytes and decoded as strict UTF-8 before
-    ``json.loads`` sees it: given bytes, ``json.loads`` would also accept
-    UTF-16/32, a byte-order mark and encoded surrogates, which are all
-    ``parse`` diagnostics here.
+    object, built and validated once per call.  Each file is read once,
+    as bytes; one that is not strict UTF-8 is a ``parse`` diagnostic.
     """
     records: list[RunRecord] = []
     diagnostics: list[Diagnostic] = []
@@ -123,10 +119,9 @@ def ingest(*paths, lenient: bool = False) -> IngestResult:
     for file in (f for path in paths for f in _json_files(Path(path))):
         name = str(file)
         try:
-            text = file.read_bytes().decode("utf-8")
-            record = loads(text, "run", lenient=lenient, path=name,
-                           _intern=intern)
-        except (ParseError, UnicodeDecodeError) as exc:
+            record = loads(file.read_bytes(), "run", lenient=lenient,
+                           path=name, _intern=intern)
+        except ParseError as exc:
             diagnostics.append(Diagnostic(name, str(exc), "parse"))
             continue
         except SchemaError as exc:
@@ -235,8 +230,8 @@ class ResultsStore:
         idx: dict[str, Path] = {}
         for file in _json_files(self.root):
             try:
-                run_id = _parse_json(file.read_text(encoding="utf-8"))["run_id"]
-            except (ParseError, UnicodeDecodeError, KeyError, TypeError):
+                run_id = _parse_json(file.read_bytes())["run_id"]
+            except (ParseError, KeyError, TypeError):
                 continue
             if not isinstance(run_id, str):
                 continue
@@ -269,8 +264,8 @@ class ResultsStore:
         if len(found) > 1:
             raise DuplicateRun(f"run_id {run_id!r} appears in both "
                                f"{found[0]} and {found[1]}")
-        record = loads(found[0].read_text(encoding="utf-8"), "run",
-                       lenient=lenient, path=str(found[0]))
+        record = loads(found[0].read_bytes(), "run", lenient=lenient,
+                       path=str(found[0]))
         if record.run_id != run_id:
             raise SchemaError(f"{found[0]} holds run_id {record.run_id!r}, "
                               f"not {run_id!r}")

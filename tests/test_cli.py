@@ -195,10 +195,13 @@ class TestRecordInputs:
         doc = json.loads(dumps(ranking_store["runs"][0]))
         doc["system"]["node"]["accelerator"]["name"] = "a\ud800b"
         (tmp_path / "run.json").write_text(json.dumps(doc))
+        (tmp_path / "other.json").write_text(dumps(ranking_store["runs"][1]))
         code, out, err = run_cli(capsys, "rank", str(tmp_path),
                                  "--format", fmt)
         assert (code, err) == (0, "")
         assert "a\\ud800b" in out
+        if fmt == "md":  # every cell is padded to its column's width
+            assert len({len(line) for line in out.splitlines()}) == 1
 
     def test_read_does_not_create_the_store(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, "score", "--store",

@@ -375,6 +375,7 @@ class TestScenario:
          "gradient_tensors"),
         ("options", [1], "options"),
         ("aplha", 0.9, "aplha"),
+        ("options_by_scale", {"eight": {}}, "options_by_scale"),
     ])
     def test_bad_scenario_values_are_schema_errors(self, tmp_path, ewa, key,
                                                    value, name):
