@@ -2,13 +2,12 @@
 
 Subcommands: ``validate``, ``score``, ``aggregate``, ``rank``,
 ``roofline``, ``simulate``, ``report``.  Each accepts only the flags it
-reads: ``--store`` (record commands), ``--lenient`` (record commands and
-``roofline``), ``--format`` (record commands and ``simulate``; ``csv``
-only where a table is printed).  Exit codes: 0 success, 1 internal error
-(an I/O failure, a locked store), 2 rule violations present, 3 bad
-input: a schema error, a bad command-line argument, or a request the
-benchmarking procedure does not define (too few runs, mixed
-configurations).
+reads: ``--store`` (record commands), ``--format`` (record commands and
+``simulate``; ``csv`` only where a table is printed).  Exit codes: 0
+success, 1 internal error (an I/O failure, a locked store), 2 rule
+violations present, 3 bad input: a schema error, a bad command-line
+argument, or a request the benchmarking procedure does not define (too
+few runs, mixed configurations).
 
 Each invocation is an independent process over the file store; there is
 no daemon state.
@@ -28,8 +27,6 @@ from .core import (
     NineLayerDeclaration,
     PrecisionMode,
     RunRecord,
-    _check_known_fields,
-    _is_mapping,
     _parse_json,
     loads,
 )
@@ -72,7 +69,7 @@ def _load_runs(args) -> tuple[list[RunRecord], tuple]:
     if store and store.exists():
         paths[:0] = (_json_files(store, args.select) if args.select
                      else [store])
-    result = ingest(*paths, lenient=args.lenient)
+    result = ingest(*paths)
     for d in result.diagnostics:
         print(f"schema: {d.path}: {d.error}", file=sys.stderr)
     records = [r for r in result.records
@@ -138,14 +135,13 @@ def _audit(records: list[RunRecord],
     return out
 
 
-def _read_declaration(path: str, lenient: bool) -> NineLayerDeclaration:
-    return loads(Path(path).read_bytes(), "declaration", lenient=lenient,
-                 path=path)
+def _read_declaration(path: str) -> NineLayerDeclaration:
+    return loads(Path(path).read_bytes(), "declaration", path=path)
 
 
 def _cmd_validate(args) -> int:
     records, diagnostics = _load_runs(args)
-    reference = _read_declaration(args.reference, args.lenient)
+    reference = _read_declaration(args.reference)
     any_error = False
     out = []
     for run, violations in zip(records, _audit(records, reference)):
@@ -209,7 +205,7 @@ def _cmd_rank(args) -> int:
     records = _runs(args, "rank")
     violations = None
     if args.reference:
-        reference = _read_declaration(args.reference, args.lenient)
+        reference = _read_declaration(args.reference)
         violations = {r.run_id: found for r, found
                       in zip(records, _audit(records, reference))}
     rows = report_mod.rank(records, violations=violations)
@@ -229,18 +225,15 @@ def _read_array(path: str, what: str) -> list:
 
 
 def _cmd_roofline(args) -> int:
-    system = loads(Path(args.system).read_bytes(), "system",
-                   lenient=args.lenient, path=args.system)
+    system = loads(Path(args.system).read_bytes(), "system", path=args.system)
     ceilings = ()
     if args.ceilings:
-        ceilings = tuple(Ceiling.from_dict(c, args.lenient)
+        ceilings = tuple(Ceiling.from_dict(c)
                          for c in _read_array(args.ceilings, "ceilings"))
     model = build_model(system, args.mode, ceilings, precision=args.precision)
     points = []
     if args.points:
         for entry in _read_array(args.points, "points"):
-            if args.lenient and _is_mapping(entry):
-                entry = _check_known_fields(entry, RooflinePoint, True)
             try:
                 points.append(RooflinePoint.from_traffic(**entry))
             except TypeError as exc:  # not an object, a missing or unknown key
@@ -272,7 +265,7 @@ def _cmd_report(args) -> int:
     records = _runs(args, "report")
     workload = records[0].workload
     agg = rules.aggregate_runs(records, workload)
-    reference = _read_declaration(args.reference, args.lenient)
+    reference = _read_declaration(args.reference)
     violations = [v for found in _audit(records, reference) for v in found]
     scores = {r.run_id: score_run(r) for r in records}
     doc = report_mod.emit_report(
@@ -299,8 +292,6 @@ def _record_command(sub, name: str, func, help: str,
     """A subcommand over run records from --store and positional paths."""
     p = sub.add_parser(name, help=help)
     p.add_argument("--store", help="results store directory")
-    p.add_argument("--lenient", action="store_true",
-                   help="accept unknown JSON fields")
     p.add_argument("--format", choices=formats, default="md")
     p.add_argument("runs", nargs="*", help="run JSON files or directories")
     p.add_argument("--select", help="run_id glob filter")
@@ -329,8 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", help="optional declaration for rule status")
 
     p = sub.add_parser("roofline", help="build a roofline and export CSV/SVG")
-    p.add_argument("--lenient", action="store_true",
-                   help="accept unknown JSON fields")
     p.add_argument("--system", required=True, help="system config JSON")
     p.add_argument("--mode", choices=("single_node", "distributed"),
                    default="distributed")

@@ -114,18 +114,6 @@ def _field_names(cls) -> frozenset:
     return frozenset(f.name for f in fields(cls))
 
 
-def _check_known_fields(data: Mapping[str, Any], cls, lenient: bool) -> dict:
-    known = _field_names(cls)
-    if known.issuperset(data):
-        return dict(data)
-    if not lenient:
-        raise SchemaError(
-            f"unknown fields for {cls.__name__}: "
-            f"{', '.join(sorted(set(data) - known))}"
-        )
-    return {k: v for k, v in data.items() if k in known}
-
-
 # -- the JSON codec -----------------------------------------------------
 
 @cache
@@ -163,11 +151,10 @@ class JsonCodec:
     """JSON encoding and decoding of a dataclass, driven by its fields.
 
     ``to_dict`` writes the fields in declaration order and enums as
-    their values.  ``from_dict`` rejects unknown fields unless
-    ``lenient`` and builds the nested dataclass fields (see
-    :func:`_nested`); each class's ``__post_init__`` checks the rest and
-    coerces its enums.  Every failure is a
-    :class:`~hpcbench.errors.SchemaError`.
+    their values.  ``from_dict`` rejects unknown fields and builds the
+    nested dataclass fields (see :func:`_nested`); each class's
+    ``__post_init__`` checks the rest and coerces its enums.  Every
+    failure is a :class:`~hpcbench.errors.SchemaError`.
     """
 
     def to_dict(self) -> dict:
@@ -175,7 +162,7 @@ class JsonCodec:
                 for name in _field_order(type(self))}
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any], lenient: bool = False, *,
+    def from_dict(cls, data: Mapping[str, Any], *,
                   _intern: Optional[dict] = None):
         """Build an instance from decoded JSON.
 
@@ -185,7 +172,11 @@ class JsonCodec:
         """
         if not _is_mapping(data):
             raise SchemaError(f"{cls.__name__} must be an object")
-        kwargs = _check_known_fields(data, cls, lenient)
+        known = _field_names(cls)
+        if not known.issuperset(data):
+            raise SchemaError(f"unknown fields for {cls.__name__}: "
+                              f"{', '.join(sorted(set(data) - known))}")
+        kwargs = dict(data)
         for name, tp in _nested(cls):
             if name not in kwargs:
                 continue  # the constructor reports a missing field
@@ -193,7 +184,7 @@ class JsonCodec:
             if not _is_mapping(raw):
                 raise SchemaError(f"{name} must be an object")
             kwargs[name] = _interned(_intern if tp in _SHARED else None,
-                                     tp, raw, lenient)
+                                     tp, raw)
         try:
             return cls(**kwargs)
         except TypeError as exc:  # missing required fields
@@ -461,10 +452,9 @@ class RunRecord(JsonCodec):
 _SHARED = (WorkloadSpec, SystemConfig)
 
 
-def _interned(table: Optional[dict], cls, raw: Mapping[str, Any],
-              lenient: bool):
-    """``cls.from_dict(raw, lenient)``, built once per distinct ``raw``
-    in ``table``.
+def _interned(table: Optional[dict], cls, raw: Mapping[str, Any]):
+    """``cls.from_dict(raw)``, built once per distinct ``raw`` in
+    ``table``.
 
     The key is ``marshal.dumps(raw, 2)`` of the JSON-decoded
     sub-document, computed in C.  It is exact, like ``repr`` but without
@@ -477,11 +467,11 @@ def _interned(table: Optional[dict], cls, raw: Mapping[str, Any],
     sub-document that fails validation raises and is never stored.
     """
     if table is None or type(raw) is not dict:
-        return cls.from_dict(raw, lenient)
-    key = (cls, lenient, marshal.dumps(raw, 2))
+        return cls.from_dict(raw)
+    key = (cls, marshal.dumps(raw, 2))
     obj = table.get(key)
     if obj is None:
-        obj = table[key] = cls.from_dict(raw, lenient)
+        obj = table[key] = cls.from_dict(raw)
     return obj
 
 
@@ -527,12 +517,11 @@ def _parse_json(text, path=None):
         raise ParseError(str(exc), path=path) from None
 
 
-def loads(text, kind: str, lenient: bool = False, path=None, *,
-          _intern: Optional[dict] = None):
+def loads(text, kind: str, path=None, *, _intern: Optional[dict] = None):
     """Parse a JSON document (text or file bytes) into the named type.
 
     ``kind`` is one of ``system``, ``workload``, ``run``,
-    ``declaration``.  Unknown fields are rejected unless ``lenient``.
+    ``declaration``.  Unknown fields are rejected.
     ``_intern`` is private to :func:`~hpcbench.store.ingest`, which
     passes one fresh table per call so that its ``run`` records share
     identical ``system``/``workload`` objects.
@@ -544,7 +533,7 @@ def loads(text, kind: str, lenient: bool = False, path=None, *,
         cls = _TYPE_BY_KIND[kind]
     except KeyError:
         raise ValueError(f"unknown document kind {kind!r}") from None
-    return cls.from_dict(data, lenient, _intern=_intern)
+    return cls.from_dict(data, _intern=_intern)
 
 
 def dumps(obj, indent: int = 2) -> str:

@@ -23,7 +23,7 @@ from .core import (
 )
 from .errors import IncomparableWorkloads, IncompleteReport
 from .metrics import Score, score_run
-from .rules import AggregateResult, Violation
+from .rules import AggregateResult, Violation, _workload_label
 from .units import fmt_bytes_per_s, fmt_flops, fmt_seconds
 
 __all__ = ["RankingRow", "rank", "vflops_ratio", "ReportDocument", "emit_report"]
@@ -46,30 +46,27 @@ class RankingRow(JsonCodec):
     eligible: bool
 
 
-def rank(runs: Sequence[RunRecord], workload: Optional[WorkloadSpec] = None,
+def rank(runs: Sequence[RunRecord],
          violations: Optional[Mapping[str, Sequence[Violation]]] = None
          ) -> list[RankingRow]:
-    """Rank runs of one workload by VFLOPS.
+    """Rank runs of one workload definition by VFLOPS.
 
     Rows sort by VFLOPS descending, then time-to-quality ascending, then
     run_id; the order is total and deterministic under input
     permutation.  ``violations`` maps run ids to their rule audit; runs
     with ERROR violations keep their position but are flagged
-    ineligible.  Mixing workloads raises
-    :class:`IncomparableWorkloads`.
+    ineligible.  Runs whose workloads differ in any field, the target
+    quality included, raise :class:`IncomparableWorkloads`.
     """
-    if not runs:
-        return []
-    names = {r.workload.name for r in runs}
-    if workload is not None:
-        names.add(workload.name)
-    if len(names) > 1:
+    first = runs[0].workload if runs else None
+    # ingested runs share one workload object: ``is`` spares the ``==``
+    if any(r.workload is not first and r.workload != first for r in runs):
+        labels = map(_workload_label, dict.fromkeys(r.workload for r in runs))
         raise IncomparableWorkloads(
-            "cannot rank across workloads: " + ", ".join(sorted(names)))
+            "cannot rank across workloads: " + ", ".join(labels))
     violations = violations or {}
 
-    scored: list[tuple[RunRecord, Score]] = [
-        (r, score_run(r, workload)) for r in runs]
+    scored: list[tuple[RunRecord, Score]] = [(r, score_run(r)) for r in runs]
     scored.sort(key=lambda rs: (-rs[1].vflops, rs[1].time_to_quality,
                                 rs[0].run_id))
     rows = []

@@ -80,6 +80,9 @@ INFINITE_COI = math.inf
 #: Ceiling selector meaning "use the theoretical peak".
 PEAK = "peak"
 
+#: COI values in each exported series.
+_SAMPLES = 256
+
 
 class CeilingKind(str, Enum):
     COMPUTATION = "computation"      # FLOPS
@@ -238,10 +241,10 @@ def attained_bound(model: RooflineModel, point_coi: float,
                    model.peak_flops)
     band = _select(model, comm_ceiling, CeilingKind.COMMUNICATION,
                    model.peak_band)
+    if not point_coi >= 0:
+        raise SchemaError(f"coi must be non-negative, got {point_coi}")
     if math.isinf(point_coi):
         return flat
-    if point_coi < 0:
-        raise SchemaError(f"coi must be non-negative, got {point_coi}")
     return min(flat, band * point_coi)
 
 
@@ -418,30 +421,27 @@ class PlotArtifact:
     svg: str
 
 
-def _coi_grid(model: RooflineModel, samples: int) -> list[float]:
+def _coi_grid(model: RooflineModel) -> list[float]:
     # Span [1, 10 * ridge] so the kink is always inside the frame, in
     # equal steps of the exponent; the last point is exactly the top.
     top = math.log10(max(10.0 * model.ridge, 10.0))
-    step = top / (samples - 1)
-    return [10.0 ** (i * step) for i in range(samples - 1)] + [10.0 ** top]
+    step = top / (_SAMPLES - 1)
+    return [10.0 ** (i * step) for i in range(_SAMPLES - 1)] + [10.0 ** top]
 
 
 def export_plot(model: Optional[RooflineModel],
-                points: Sequence[RooflinePoint] = (),
-                samples: int = 256) -> PlotArtifact:
+                points: Sequence[RooflinePoint] = ()) -> PlotArtifact:
     """Render a model and its points as a CSV series plus an SVG chart.
 
-    The CSV holds ``samples`` log-spaced COI values with the peak-roof
+    The CSV holds ``_SAMPLES`` log-spaced COI values with the peak-roof
     bound and one column per ceiling (each ceiling paired with the
     opposite peak).  The SVG is a self-contained log-log chart, no
     scripts or external fonts, viewBox 960x540.
     """
     if model is None:
         raise NothingToPlot("no model to plot")
-    if samples < 2:
-        raise NothingToPlot("need at least 2 samples")
 
-    grid = _coi_grid(model, samples)
+    grid = _coi_grid(model)
     columns = {"bound_flops": [attained_bound(model, x) for x in grid]}
     for c in model.ceilings:
         if c.kind is CeilingKind.COMPUTATION:

@@ -273,7 +273,7 @@ class LearningRateSchedule:
                 f"schedule ({self.total_epochs})")
 
     def at(self, epoch: float) -> float:
-        if epoch < 0 or epoch > self.total_epochs:
+        if not 0 <= epoch <= self.total_epochs:
             raise InvalidSchedule(
                 f"epoch {epoch} outside [0, {self.total_epochs}]")
         peak = self.base_lr * self.k
@@ -320,10 +320,15 @@ def _variation(values: Sequence[float]) -> float:
 
 
 def configuration_key(run: RunRecord) -> tuple:
-    """Workload name, system, scale, precision and global batch size:
-    repeats and the drop-extremes aggregate are defined per key."""
-    return (run.workload.name, run.system, run.scale, run.precision,
+    """Workload definition, system, scale, precision and global batch
+    size: repeats and the drop-extremes aggregate are defined per key."""
+    return (run.workload, run.system, run.scale, run.precision,
             run.global_batchsize)
+
+
+def _workload_label(workload: WorkloadSpec) -> str:
+    """Name and target quality: two definitions of one name read apart."""
+    return f"{workload.name} (target {workload.target_quality.value:g})"
 
 
 @dataclass(frozen=True)
@@ -341,12 +346,13 @@ def aggregate_runs(runs: Sequence[RunRecord],
                    workload: WorkloadSpec) -> AggregateResult:
     """Aggregate repeated trials of one workload configuration.
 
-    The trials must share one :func:`configuration_key`; declarations may
-    differ (the rule audit reports that).  Requires at least
-    ``workload.min_runs`` trials.  Trials are sorted by (epochs_to_quality,
-    run_id) and the single highest and lowest are dropped before averaging
-    scores; ties drop the first encountered in that stable order.
-    Variation is reported over all submitted trials.
+    The trials must share one :func:`configuration_key`, whose workload
+    is ``workload``; declarations may differ (the rule audit reports
+    that).  Requires at least ``workload.min_runs`` trials.  Trials are
+    sorted by (epochs_to_quality, run_id) and the single highest and
+    lowest are dropped before averaging scores; ties drop the first
+    encountered in that stable order.  Variation is reported over all
+    submitted trials.
     """
     configs = []
     for key in map(configuration_key, runs):
@@ -355,10 +361,15 @@ def aggregate_runs(runs: Sequence[RunRecord],
     if len(configs) > 1:
         raise SchemaError(
             f"runs span {len(configs)} configurations: " + "; ".join(
-                f"{w} on {s.num_nodes}x{s.node.accelerators_per_node} "
-                f"{s.node.accelerator.name}, scale {n}, {p.value}, batch {b}"
+                f"{_workload_label(w)} on {s.num_nodes}x"
+                f"{s.node.accelerators_per_node} {s.node.accelerator.name}, "
+                f"scale {n}, {p.value}, batch {b}"
                 for w, s, n, p, b in configs)
             + "; narrow with --workload or --select")
+    if configs and configs[0][0] != workload:
+        raise IncomparableWorkloads(
+            f"runs are of workload {_workload_label(configs[0][0])}, "
+            f"not {_workload_label(workload)}")
     if len(runs) < workload.min_runs:
         raise InsufficientRuns(workload.min_runs, len(runs))
     ordered = sorted(runs, key=lambda r: (r.epochs_to_quality, r.run_id))

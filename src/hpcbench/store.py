@@ -100,11 +100,11 @@ def _write_atomic(target: Path, text: str) -> None:
         raise
 
 
-def ingest(*paths, lenient: bool = False) -> IngestResult:
+def ingest(*paths) -> IngestResult:
     """Parse run records from files or directory trees.
 
-    Every document is parsed in strict mode (unknown fields rejected
-    unless ``lenient``) and validated against the run-record invariants.
+    Every document is parsed, with unknown fields rejected, and
+    validated against the run-record invariants.
     Bad documents become diagnostics instead of aborting the batch.  One
     duplicate table spans all ``paths``, so a run id that arrives twice
     is a ``duplicate run_id`` diagnostic and the first copy is kept.
@@ -119,8 +119,8 @@ def ingest(*paths, lenient: bool = False) -> IngestResult:
     for file in (f for path in paths for f in _json_files(Path(path))):
         name = str(file)
         try:
-            record = loads(file.read_bytes(), "run", lenient=lenient,
-                           path=name, _intern=intern)
+            record = loads(file.read_bytes(), "run", path=name,
+                           _intern=intern)
         except ParseError as exc:
             diagnostics.append(Diagnostic(name, str(exc), "parse"))
             continue
@@ -253,7 +253,7 @@ class ResultsStore:
         _write_atomic(target, json.dumps(idx, indent=2) + "\n")
         return target
 
-    def load(self, run_id: str, lenient: bool = False) -> RunRecord:
+    def load(self, run_id: str) -> RunRecord:
         """Read the record stored as ``<workload>/<run_id>.json``, probing
         the workload directories the way ``add`` does; no other record
         is read.  The file must hold that run id."""
@@ -264,17 +264,15 @@ class ResultsStore:
         if len(found) > 1:
             raise DuplicateRun(f"run_id {run_id!r} appears in both "
                                f"{found[0]} and {found[1]}")
-        record = loads(found[0].read_bytes(), "run", lenient=lenient,
-                       path=str(found[0]))
+        record = loads(found[0].read_bytes(), "run", path=str(found[0]))
         if record.run_id != run_id:
             raise SchemaError(f"{found[0]} holds run_id {record.run_id!r}, "
                               f"not {run_id!r}")
         return record
 
-    def load_all(self, workload: Optional[str] = None,
-                 lenient: bool = False) -> IngestResult:
+    def load_all(self, workload: Optional[str] = None) -> IngestResult:
         """Ingest the whole store, optionally one workload subtree."""
         base = self.root / workload if workload else self.root
         if not base.exists():
             return IngestResult(records=(), diagnostics=())
-        return ingest(base, lenient=lenient)
+        return ingest(base)

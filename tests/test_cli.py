@@ -240,6 +240,25 @@ class TestRecordInputs:
         assert err.startswith("error: runs span 2 configurations: ")
         assert "on 8x8 " in err and "on 16x8 " in err
 
+    @pytest.mark.parametrize("command", ["rank", "aggregate", "report"])
+    def test_two_definitions_of_one_workload_are_refused(
+            self, ranking_store, tmp_path, capsys, command):
+        runs = [r for r in ranking_store["runs"]
+                if r.run_id.startswith("ic-fp32-16-")]
+        target = runs[0].workload.target_quality
+        loose = replace(runs[0].workload,
+                        target_quality=replace(target, value=0.05))
+        for i, run in enumerate(runs):
+            if i % 2:
+                run = replace(run, workload=loose)
+            (tmp_path / f"{run.run_id}.json").write_text(dumps(run))
+        reference = (["--reference", str(ranking_store["reference"])]
+                     if command == "report" else [])
+        code, out, err = run_cli(capsys, command, str(tmp_path), *reference)
+        assert (code, out) == (3, "")
+        assert "image_classification (target 0.763)" in err
+        assert "image_classification (target 0.05)" in err
+
 
 class TestSelection:
     """Under --store, --select picks record files by name before reading;
@@ -432,6 +451,12 @@ class TestHostileInputs:
         ["validate", "--reference", "r.json", "--format", "csv"],
         ["aggregate", "--format", "csv"],
         ["report", "--reference", "r.json", "--format", "csv"],
+        ["score", "--lenient"],
+        ["rank", "--lenient"],
+        ["validate", "--reference", "r.json", "--lenient"],
+        ["aggregate", "--lenient"],
+        ["report", "--reference", "r.json", "--lenient"],
+        ["roofline", "--system", "s.json", "--lenient"],
     ])
     def test_flag_the_command_does_not_read(self, capsys, argv):
         with pytest.raises(SystemExit) as info:

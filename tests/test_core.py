@@ -168,11 +168,6 @@ class TestStrictParsing:
         with pytest.raises(SchemaError, match="vendor"):
             loads(json.dumps(doc), "system")
 
-    def test_lenient_accepts_unknown(self):
-        doc = json.loads(dumps(case_study_system()))
-        doc["vendor"] = "acme"
-        assert loads(json.dumps(doc), "system", lenient=True) == case_study_system()
-
     def test_parse_error_carries_position(self):
         with pytest.raises(ParseError) as err:
             loads('{"num_nodes": 1,,}', "system", path="bad.json")
@@ -227,15 +222,6 @@ class TestCodec:
 
 class TestInterning:
     """``loads`` with one intern table, as ``ingest`` calls it."""
-
-    def test_lenient_parse_never_admits_unknown_fields_strictly(self):
-        doc = json.loads(dumps(make_run()))
-        doc["system"]["vendor"] = "acme"
-        text = json.dumps(doc)
-        table = {}
-        assert loads(text, "run", lenient=True, _intern=table) == make_run()
-        with pytest.raises(SchemaError, match="vendor"):
-            loads(text, "run", _intern=table)
 
     def test_int_float_and_key_order_give_equal_records(self):
         doc = json.loads(dumps(make_run()))

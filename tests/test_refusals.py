@@ -1,10 +1,12 @@
 """Bad input is refused once, by the function that owns the value: a
 constructor checks its own ranges, ``core._parse_json`` decodes every
-input file, ``rules.aggregate_runs`` guards the configuration, and the
-Python API refuses what the command line refuses."""
+input file, ``rules.aggregate_runs`` guards the configuration and
+``report.rank`` the workload definition, and the Python API refuses
+what the command line refuses."""
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -12,9 +14,26 @@ from conftest import build_ranking_runs
 
 from hpcbench.cli import main
 from hpcbench.core import dumps
-from hpcbench.errors import InvalidSchedule, ParseError, SchemaError
-from hpcbench.presets import case_study_system, image_classification_workload
-from hpcbench.roofline import Compress, PrecisionShift, RooflinePoint, apply_whatif
+from hpcbench.errors import (
+    IncomparableWorkloads,
+    InvalidSchedule,
+    ParseError,
+    SchemaError,
+)
+from hpcbench.presets import (
+    case_study_system,
+    ewa_workload,
+    image_classification_workload,
+)
+from hpcbench.report import rank
+from hpcbench.roofline import (
+    Compress,
+    PrecisionShift,
+    RooflinePoint,
+    apply_whatif,
+    attained_bound,
+    build_model,
+)
 from hpcbench.rules import LearningRateSchedule, aggregate_runs, lr_schedule
 from hpcbench.simulator import run_scenario
 from hpcbench.store import ResultsStore
@@ -39,6 +58,16 @@ def _aggregate_two_configurations(tmp_path):
     aggregate_runs(runs[:20], image_classification_workload())
 
 
+def _two_definitions():
+    """Ten runs of one configuration; every second one embeds the same
+    workload name with a target of 0.05."""
+    ic = image_classification_workload()
+    loose = replace(ic, target_quality=replace(ic.target_quality, value=0.05))
+    runs, _ = build_ranking_runs()
+    return [replace(r, workload=loose) if i % 2 else r
+            for i, r in enumerate(runs[:10])]
+
+
 @pytest.mark.parametrize("call, error, match", [
     (lambda _: LearningRateSchedule(0.1, 1, 10, 10, "cosine").at(10),
      InvalidSchedule, r"warmup \(10\) must be shorter than the schedule"),
@@ -55,15 +84,32 @@ def _aggregate_two_configurations(tmp_path):
      "can't decode byte 0xff .* in .*scenario.json"),
     (_aggregate_two_configurations, SchemaError,
      "runs span 2 configurations: "),
+    (lambda _: lr_schedule(0.1, 1, 0, 10).at(math.nan), InvalidSchedule,
+     r"epoch nan outside \[0, 10\]"),
+    (lambda _: attained_bound(build_model(case_study_system(), "distributed"),
+                              math.nan),
+     SchemaError, "coi must be non-negative, got nan"),
+    (lambda _: aggregate_runs(_two_definitions(),
+                              image_classification_workload()),
+     SchemaError, r"runs span 2 configurations: image_classification "
+     r"\(target 0\.763\) on .*; image_classification \(target 0\.05\) on "),
+    (lambda _: aggregate_runs(build_ranking_runs()[0][:10], ewa_workload()),
+     IncomparableWorkloads, r"runs are of workload image_classification "
+     r"\(target 0\.763\), not extreme_weather"),
+    (lambda _: rank(_two_definitions()), IncomparableWorkloads,
+     r"cannot rank across workloads: image_classification \(target 0\.763\), "
+     r"image_classification \(target 0\.05\)$"),
 ], ids=["schedule-warmup", "lr_schedule-nan", "compress-nan",
         "compress-string", "precision-shift-nan", "store-load-not-utf8",
-        "scenario-not-utf8", "aggregate-two-configurations"])
+        "scenario-not-utf8", "aggregate-two-configurations", "schedule-at-nan",
+        "attained-bound-nan", "aggregate-two-definitions",
+        "aggregate-other-workload", "rank-two-definitions"])
 def test_the_owner_refuses_bad_input(tmp_path, call, error, match):
     with pytest.raises(error, match=match):
         call(tmp_path)
 
 
-def test_unknown_point_key_is_refused_unless_lenient(tmp_path, capsys):
+def test_unknown_point_key_is_refused(tmp_path, capsys):
     (tmp_path / "system.json").write_text(dumps(case_study_system()))
     (tmp_path / "points.json").write_text(json.dumps([
         {"label": "a", "flops_total": 1e12, "comm_traffic": 1e6,
@@ -72,4 +118,3 @@ def test_unknown_point_key_is_refused_unless_lenient(tmp_path, capsys):
             "--points", str(tmp_path / "points.json")]
     assert main(argv) == 3
     assert "unexpected keyword argument 'atained'" in capsys.readouterr().err
-    assert main(argv + ["--lenient"]) == 0
