@@ -234,8 +234,8 @@ def attained_bound(model: RooflineModel, point_coi: float,
     """Attainable FLOPS at a COI: ``min(compute rate, bandwidth * COI)``.
 
     Ceiling names select measured sub-peak bounds; ``PEAK`` (or None)
-    selects the theoretical peaks.  An infinite COI returns the compute
-    term (flat roof).
+    selects the theoretical peaks.  A COI of +inf returns the compute
+    term (flat roof); a negative or NaN COI is a SchemaError.
     """
     flat = _select(model, compute_ceiling, CeilingKind.COMPUTATION,
                    model.peak_flops)

@@ -89,6 +89,9 @@ def _two_definitions():
     (lambda _: attained_bound(build_model(case_study_system(), "distributed"),
                               math.nan),
      SchemaError, "coi must be non-negative, got nan"),
+    (lambda _: attained_bound(build_model(case_study_system(), "distributed"),
+                              -math.inf),
+     SchemaError, "coi must be non-negative, got -inf"),
     (lambda _: aggregate_runs(_two_definitions(),
                               image_classification_workload()),
      SchemaError, r"runs span 2 configurations: image_classification "
@@ -102,7 +105,8 @@ def _two_definitions():
 ], ids=["schedule-warmup", "lr_schedule-nan", "compress-nan",
         "compress-string", "precision-shift-nan", "store-load-not-utf8",
         "scenario-not-utf8", "aggregate-two-configurations", "schedule-at-nan",
-        "attained-bound-nan", "aggregate-two-definitions",
+        "attained-bound-nan", "attained-bound-minus-inf",
+        "aggregate-two-definitions",
         "aggregate-other-workload", "rank-two-definitions"])
 def test_the_owner_refuses_bad_input(tmp_path, call, error, match):
     with pytest.raises(error, match=match):
