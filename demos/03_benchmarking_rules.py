@@ -91,7 +91,7 @@ trials = [RunRecord(
     level=BenchLevel.HARDWARE, declaration=reference)
     for i, e in enumerate(epochs_per_trial)]
 
-agg = aggregate_runs(trials, workload)
+agg = aggregate_runs(trials)
 print(f"\n{len(trials)} trials with epochs-to-quality {epochs_per_trial}")
 print(f"dropped extremes: "
       f"{[r.epochs_to_quality for r in agg.dropped]}, "

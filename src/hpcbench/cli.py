@@ -178,10 +178,9 @@ def _cmd_score(args) -> int:
 
 def _cmd_aggregate(args) -> int:
     records = _runs(args, "aggregate")
-    workload = records[0].workload
-    agg = rules.aggregate_runs(records, workload)
+    agg = rules.aggregate_runs(records)
     doc = {
-        "workload": workload.name,
+        "workload": records[0].workload.name,
         "runs": len(records),
         "retained": [r.run_id for r in agg.retained_runs],
         "dropped": [r.run_id for r in agg.dropped],
@@ -192,7 +191,7 @@ def _cmd_aggregate(args) -> int:
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:
-        print(f"workload: {workload.name} ({len(records)} trials, "
+        print(f"workload: {doc['workload']} ({len(records)} trials, "
               f"dropped {', '.join(doc['dropped']) or 'none'})")
         for k, v in agg.mean_scores.items():
             print(f"  mean {k}: {v:.6g}")
@@ -263,15 +262,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_report(args) -> int:
     records = _runs(args, "report")
-    workload = records[0].workload
-    agg = rules.aggregate_runs(records, workload)
+    agg = rules.aggregate_runs(records)
     reference = _read_declaration(args.reference)
     violations = [v for found in _audit(records, reference) for v in found]
     scores = {r.run_id: score_run(r) for r in records}
     doc = report_mod.emit_report(
         aggregate=agg, violations=violations, scores=scores,
-        system=records[0].system, declaration=records[0].declaration,
-        workload=workload)
+        declaration=records[0].declaration)
     text = doc.json() if args.format == "json" else doc.markdown
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -14,7 +14,7 @@ Every function here is pure: same inputs give bit-identical outputs.
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import JsonCodec, RunRecord, WorkloadSpec
+from .core import JsonCodec, RunRecord
 from .errors import (
     DegenerateComm,
     DegenerateTarget,
@@ -154,13 +154,10 @@ class Score(JsonCodec):
     penalty: float
 
 
-def score_run(run: RunRecord, workload: Optional[WorkloadSpec] = None) -> Score:
-    """Compute the full score of one run record.
-
-    ``workload`` defaults to the record's embedded workload; passing it
-    explicitly lets a caller re-score against an adjusted definition.
-    """
-    wl = workload if workload is not None else run.workload
+def score_run(run: RunRecord) -> Score:
+    """Compute the full score of one run record against its own workload;
+    re-score with ``score_run(dataclasses.replace(run, workload=w))``."""
+    wl = run.workload
     flops = throughput_flops(run.samples_per_second_per_rank, run.num_ranks,
                              wl.flops_per_sample)
     penalty = penalty_coefficient(run.achieved_quality, wl.target_quality.value,

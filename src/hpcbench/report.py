@@ -19,7 +19,6 @@ from .core import (
     NineLayerDeclaration,
     RunRecord,
     SystemConfig,
-    WorkloadSpec,
 )
 from .errors import IncomparableWorkloads, IncompleteReport
 from .metrics import Score, score_run
@@ -155,26 +154,27 @@ def _md_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
 def emit_report(aggregate: AggregateResult,
                 violations: Sequence[Violation],
                 scores: Mapping[str, Score],
-                system: SystemConfig,
                 declaration: NineLayerDeclaration,
-                workload: Optional[WorkloadSpec] = None,
                 ratio_studies: Optional[Sequence[tuple]] = None
                 ) -> ReportDocument:
-    """Assemble the full benchmarking report.
+    """Assemble the full benchmarking report of one aggregate.
 
     Mandatory sections: system under test (six descriptive groups),
     benchmark configuration (all hyper-parameters plus the communication
-    stack), and scores for all runs with the raw trial data.  Missing
-    sections raise :class:`IncompleteReport` naming them.
+    stack), and scores for all runs with the raw trial data.  Workload
+    and system are the retained runs', which share one configuration.
+    Missing sections raise :class:`IncompleteReport` naming them.
     ``ratio_studies`` optionally adds an optimization-study table of
     (label, baseline Score, optimized Score) triples.
     """
     missing = [name for name, val in (
         ("aggregate", aggregate), ("violations", violations),
-        ("scores", scores), ("system", system),
-        ("declaration", declaration)) if val is None]
+        ("scores", scores), ("declaration", declaration)) if val is None]
+    if aggregate is not None and not aggregate.retained_runs:
+        missing.append("runs")
     if missing:
         raise IncompleteReport(missing)
+    head = aggregate.retained_runs[0]
 
     runs_by_id = {r.run_id: r for r in aggregate.retained_runs}
     for pair in aggregate.dropped:
@@ -183,7 +183,7 @@ def emit_report(aggregate: AggregateResult,
                   for rid, s in scores.items() if rid in runs_by_id]
 
     data = {
-        "system_under_test": _system_section(system, declaration),
+        "system_under_test": _system_section(head.system, declaration),
         "benchmark_configuration": {
             "hyper_parameters": dict(declaration.layer(8)),
             "programming_model": dict(declaration.layer(6)),
@@ -219,7 +219,7 @@ def emit_report(aggregate: AggregateResult,
              "vflops_ratio": vflops_ratio(opt, base)}
             for label, base, opt in ratio_studies]
 
-    md = [f"# Benchmark report: {workload.name if workload else 'workload'}"]
+    md = [f"# Benchmark report: {head.workload.name}"]
     sut = data["system_under_test"]
     md.append("\n## 1. System under test\n")
     md.append(_md_table(

@@ -32,7 +32,6 @@ from .core import (
     PrecisionMode,
     RunRecord,
     SystemConfig,
-    WorkloadSpec,
     _coerce,
     _num,
     derive_peaks,
@@ -46,7 +45,8 @@ from .errors import (
     SchemaError,
     UnknownCeiling,
 )
-from .simulator import TopologySpec, allreduce_traffic
+from .metrics import throughput_flops
+from .simulator import allreduce_traffic
 
 __all__ = [
     "INFINITE_COI",
@@ -296,24 +296,22 @@ class Fabric(str, Enum):
     INTER = "inter"
 
 
-def place_run(run: RunRecord, workload: Optional[WorkloadSpec] = None,
-              topology=None, fabric: Fabric = Fabric.AUTO) -> RooflinePoint:
+def place_run(run: RunRecord, fabric: Fabric = Fabric.AUTO) -> RooflinePoint:
     """Place a measured run on the roofline.
 
-    Per-step FLOPs are the workload's per-rank step compute times the
-    rank count; traffic is the total allreduce volume of the gradient
-    message over the referred fabric's participant group (see
+    Per-step FLOPs are the per-rank step compute of the run's workload
+    times the rank count; traffic is the total allreduce volume of the
+    gradient message over the referred fabric's participant group (see
     :class:`Fabric`).  The measured sustained FLOPS becomes the point's
     ``attained`` value when throughput was recorded.
     """
-    wl = workload if workload is not None else run.workload
+    wl = run.workload
     if wl.comp_per_step <= 0:
         raise IncompletePoint(
             f"workload {wl.name!r} declares no per-step compute")
     if wl.params_count <= 0 or wl.bytes_per_param <= 0:
         raise IncompletePoint(
             f"workload {wl.name!r} declares no gradient traffic")
-    topology = topology if topology is not None else TopologySpec.ring()
 
     apn = run.system.node.accelerators_per_node
     nodes_used = math.ceil(run.scale / apn)
@@ -322,13 +320,12 @@ def place_run(run: RunRecord, workload: Optional[WorkloadSpec] = None,
         fabric = Fabric.INTER if nodes_used > 1 else Fabric.INTRA
     participants = nodes_used if fabric is Fabric.INTER else run.scale
 
-    message = wl.gradient_bytes
-    traffic = allreduce_traffic(message, participants, topology).total
+    traffic = allreduce_traffic(wl.gradient_bytes, participants).total
     flops_total = wl.comp_per_step * run.num_ranks
     attained = None
     if run.samples_per_second_per_rank > 0:
-        attained = (run.samples_per_second_per_rank * run.num_ranks
-                    * wl.flops_per_sample)
+        attained = throughput_flops(run.samples_per_second_per_rank,
+                                    run.num_ranks, wl.flops_per_sample)
     return RooflinePoint.from_traffic(
         label=f"{wl.name}@{run.scale}x{run.precision.value}",
         flops_total=flops_total, comm_traffic=traffic, attained=attained)

@@ -342,18 +342,19 @@ class AggregateResult:
     wall_time_variation: float
 
 
-def aggregate_runs(runs: Sequence[RunRecord],
-                   workload: WorkloadSpec) -> AggregateResult:
+def aggregate_runs(runs: Sequence[RunRecord]) -> AggregateResult:
     """Aggregate repeated trials of one workload configuration.
 
-    The trials must share one :func:`configuration_key`, whose workload
-    is ``workload``; declarations may differ (the rule audit reports
-    that).  Requires at least ``workload.min_runs`` trials.  Trials are
-    sorted by (epochs_to_quality, run_id) and the single highest and
-    lowest are dropped before averaging scores; ties drop the first
-    encountered in that stable order.  Variation is reported over all
-    submitted trials.
+    The trials must share one :func:`configuration_key`, and are scored
+    against its workload; declarations may differ (the rule audit
+    reports that).  Requires at least the workload's ``min_runs``
+    trials.  Trials are sorted by (epochs_to_quality, run_id) and the
+    single highest and lowest are dropped before averaging scores; ties
+    drop the first encountered in that stable order.  Variation is
+    reported over all submitted trials.
     """
+    if not runs:
+        raise SchemaError("no runs to aggregate")
     configs = []
     for key in map(configuration_key, runs):
         if key not in configs:
@@ -366,10 +367,7 @@ def aggregate_runs(runs: Sequence[RunRecord],
                 f"scale {n}, {p.value}, batch {b}"
                 for w, s, n, p, b in configs)
             + "; narrow with --workload or --select")
-    if configs and configs[0][0] != workload:
-        raise IncomparableWorkloads(
-            f"runs are of workload {_workload_label(configs[0][0])}, "
-            f"not {_workload_label(workload)}")
+    workload = configs[0][0]
     if len(runs) < workload.min_runs:
         raise InsufficientRuns(workload.min_runs, len(runs))
     ordered = sorted(runs, key=lambda r: (r.epochs_to_quality, r.run_id))
@@ -381,7 +379,7 @@ def aggregate_runs(runs: Sequence[RunRecord],
         retained = tuple(ordered)
         dropped = ()
 
-    scores = {r.run_id: score_run(r, workload) for r in retained}
+    scores = {r.run_id: score_run(r) for r in retained}
     mean_scores = {
         "flops": _mean([s.flops for s in scores.values()]),
         "vflops": _mean([s.vflops for s in scores.values()]),
@@ -463,8 +461,7 @@ def replicability_check(team_a: AggregateResult, team_b: AggregateResult,
     ref_b = team_b.retained_runs[0] if team_b.retained_runs else None
     if ref_a is None or ref_b is None:
         raise NotReplicable("aggregates carry no runs to compare")
-    if (ref_a.workload.name != ref_b.workload.name
-            or ref_a.system != ref_b.system):
+    if ref_a.workload != ref_b.workload or ref_a.system != ref_b.system:
         raise NotReplicable("aggregates describe different workloads or systems")
     deltas = {}
     failed = []

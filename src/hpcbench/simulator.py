@@ -48,6 +48,7 @@ from .core import (
     dumps,
 )
 from .errors import BatchShardError, DegenerateBand, SchemaError
+from .metrics import throughput_flops
 from .store import _check_name, _write_atomic
 
 __all__ = [
@@ -116,14 +117,13 @@ class Traffic(NamedTuple):
     total: float            # bytes across all participants
 
 
-def allreduce_traffic(message_bytes: float, participants: int,
-                      topology: TopologySpec) -> Traffic:
+def allreduce_traffic(message_bytes: float, participants: int) -> Traffic:
     """Bytes moved by one allreduce of ``message_bytes`` per participant.
 
-    All supported topologies are bandwidth-optimal: each participant
-    sends ``2 * (p - 1) / p`` message sizes, for a total of
-    ``2 * (p - 1)`` across the group.  A single participant moves
-    nothing.
+    Every supported topology is bandwidth-optimal, so the volume does
+    not depend on it: each participant sends ``2 * (p - 1) / p``
+    message sizes, for a total of ``2 * (p - 1)`` across the group.  A
+    single participant moves nothing.
     """
     if participants < 1:
         raise SchemaError("participants must be >= 1")
@@ -163,7 +163,7 @@ def allreduce_time(message_bytes: float, participants: int,
     """
     if bandwidth <= 0:
         raise DegenerateBand("bandwidth must be positive")
-    traffic = allreduce_traffic(message_bytes, participants, topology)
+    traffic = allreduce_traffic(message_bytes, participants)
     return traffic.per_participant / bandwidth + _latency_term(participants,
                                                                topology)
 
@@ -412,7 +412,8 @@ def simulate_training(system: SystemConfig, workload: WorkloadSpec,
     wall_time = epochs_run * steps_per_epoch * step.step_seconds
 
     samples_per_second_per_rank = per_rank_batch / step.step_seconds
-    throughput = samples_per_second_per_rank * scale * workload.flops_per_sample
+    throughput = throughput_flops(samples_per_second_per_rank, scale,
+                                  workload.flops_per_sample)
 
     baseline_scale = options.baseline_scale
     if baseline_scale is None:

@@ -227,14 +227,14 @@ def test_criterion_5_rules_engine():
                                **kw)
                 for i, e in enumerate(epochs)]
 
-    agg = aggregate_runs(runs([10, 12, 11, 13, 11], ewa), ewa)
+    agg = aggregate_runs(runs([10, 12, 11, 13, 11], ewa))
     assert agg.mean_scores["epochs_to_quality"] == pytest.approx(11.33,
                                                                  abs=0.005)
     with pytest.raises(InsufficientRuns) as err:
-        aggregate_runs(runs([10, 11, 12, 13], ewa), ewa)
+        aggregate_runs(runs([10, 11, 12, 13], ewa))
     assert err.value.required == 5
     with pytest.raises(InsufficientRuns) as err:
-        aggregate_runs(runs([10] * 9, ic, scale=16, batch=2048, sps=100.0), ic)
+        aggregate_runs(runs([10] * 9, ic, scale=16, batch=2048, sps=100.0))
     assert err.value.required == 10
 
     # repeatability variation against an independent population-stddev
@@ -292,7 +292,7 @@ def test_criterion_7_simulator_properties():
     # traffic against the phase-enumeration oracle for p in [1, 64]
     for p in range(1, 65):
         per_oracle, total_oracle = ring_phase_oracle(164e6, p)
-        per, total = allreduce_traffic(164e6, p, ring)
+        per, total = allreduce_traffic(164e6, p)
         assert per == pytest.approx(per_oracle, rel=1e-12, abs=1e-9)
         assert total == pytest.approx(total_oracle, rel=1e-12, abs=1e-9)
 
@@ -346,7 +346,7 @@ def test_criterion_7_simulator_properties():
                     model = RooflineModel(mode=RooflineMode.DISTRIBUTED,
                                           peak_flops=peak, peak_band=band)
                     traffic = allreduce_traffic(result.step.message_bytes,
-                                                scale, ring).total
+                                                scale).total
                     point = RooflinePoint.from_traffic(
                         "sim", workload.flops_per_sample * batch * scale,
                         traffic)

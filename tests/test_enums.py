@@ -86,7 +86,7 @@ CASES = {
     "build_model": ("mode", RooflineMode.SINGLE_NODE,
                     lambda v: build_model(SYSTEM, v).mode),
     "place_run": ("fabric", Fabric.INTRA,
-                  lambda v: place_run(RUN, EWA, fabric=v).comm_traffic),
+                  lambda v: place_run(RUN, fabric=v).comm_traffic),
     "apply_whatif": ("mode", PrecisionMode.MIXED,
                      lambda v: apply_whatif(POINT, PrecisionShift(v)).label),
     "check_equivalence": ("level", BenchLevel.FREE, lambda v: check_equivalence(

@@ -17,12 +17,12 @@ from hpcbench.core import dumps
 from hpcbench.errors import (
     IncomparableWorkloads,
     InvalidSchedule,
+    NotReplicable,
     ParseError,
     SchemaError,
 )
 from hpcbench.presets import (
     case_study_system,
-    ewa_workload,
     image_classification_workload,
 )
 from hpcbench.report import rank
@@ -34,7 +34,12 @@ from hpcbench.roofline import (
     attained_bound,
     build_model,
 )
-from hpcbench.rules import LearningRateSchedule, aggregate_runs, lr_schedule
+from hpcbench.rules import (
+    LearningRateSchedule,
+    aggregate_runs,
+    lr_schedule,
+    replicability_check,
+)
 from hpcbench.simulator import run_scenario
 from hpcbench.store import ResultsStore
 
@@ -55,7 +60,7 @@ def _scenario_not_utf8(tmp_path):
 
 def _aggregate_two_configurations(tmp_path):
     runs, _ = build_ranking_runs()
-    aggregate_runs(runs[:20], image_classification_workload())
+    aggregate_runs(runs[:20])
 
 
 def _two_definitions():
@@ -66,6 +71,18 @@ def _two_definitions():
     runs, _ = build_ranking_runs()
     return [replace(r, workload=loose) if i % 2 else r
             for i, r in enumerate(runs[:10])]
+
+
+def _replicate_at_two_targets(tmp_path):
+    """Aggregates of the same ten runs, scored at the workload's target
+    and at 0.05 under the same workload name."""
+    runs, _ = build_ranking_runs()
+    ic = runs[0].workload
+    loose = replace(ic, target_quality=replace(ic.target_quality, value=0.05))
+    replicability_check(
+        aggregate_runs(runs[:10]),
+        aggregate_runs([replace(r, workload=loose) for r in runs[:10]]),
+        tolerance=0.05)
 
 
 @pytest.mark.parametrize("call, error, match", [
@@ -92,13 +109,12 @@ def _two_definitions():
     (lambda _: attained_bound(build_model(case_study_system(), "distributed"),
                               -math.inf),
      SchemaError, "coi must be non-negative, got -inf"),
-    (lambda _: aggregate_runs(_two_definitions(),
-                              image_classification_workload()),
+    (lambda _: aggregate_runs(_two_definitions()),
      SchemaError, r"runs span 2 configurations: image_classification "
      r"\(target 0\.763\) on .*; image_classification \(target 0\.05\) on "),
-    (lambda _: aggregate_runs(build_ranking_runs()[0][:10], ewa_workload()),
-     IncomparableWorkloads, r"runs are of workload image_classification "
-     r"\(target 0\.763\), not extreme_weather"),
+    (lambda _: aggregate_runs([]), SchemaError, "^no runs to aggregate$"),
+    (_replicate_at_two_targets, NotReplicable,
+     "aggregates describe different workloads or systems"),
     (lambda _: rank(_two_definitions()), IncomparableWorkloads,
      r"cannot rank across workloads: image_classification \(target 0\.763\), "
      r"image_classification \(target 0\.05\)$"),
@@ -106,8 +122,8 @@ def _two_definitions():
         "compress-string", "precision-shift-nan", "store-load-not-utf8",
         "scenario-not-utf8", "aggregate-two-configurations", "schedule-at-nan",
         "attained-bound-nan", "attained-bound-minus-inf",
-        "aggregate-two-definitions",
-        "aggregate-other-workload", "rank-two-definitions"])
+        "aggregate-two-definitions", "aggregate-no-runs",
+        "replicability-two-definitions", "rank-two-definitions"])
 def test_the_owner_refuses_bad_input(tmp_path, call, error, match):
     with pytest.raises(error, match=match):
         call(tmp_path)

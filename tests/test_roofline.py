@@ -43,7 +43,6 @@ from hpcbench.roofline import (
     ridge_point,
     validate_point,
 )
-from hpcbench.simulator import TopologySpec
 from hpcbench.units import GIGA, TERA
 
 
@@ -261,7 +260,7 @@ class TestPlaceRun:
         # 16 * 691 GFLOPs of step work.
         workload = ewa_workload()
         run = make_run(workload, 16, sps_per_rank=25.99e12 / 16 / 691e9)
-        point = place_run(run, topology=TopologySpec.ring())
+        point = place_run(run)
         assert point.comm_traffic == pytest.approx(2 * 164e6)
         assert point.coi == pytest.approx(16 * 691e9 / (2 * 164e6))
         model = build_model(case_study_system(num_nodes=2),

@@ -243,7 +243,7 @@ def runs_with_epochs(epochs, workload, **kwargs):
 class TestAggregateRuns:
     def test_drop_extremes_and_mean(self, ewa):
         runs = runs_with_epochs([10, 12, 11, 13, 11], ewa)
-        agg = aggregate_runs(runs, ewa)
+        agg = aggregate_runs(runs)
         assert sorted(r.epochs_to_quality for r in agg.retained_runs) == \
             [11, 11, 12]
         assert agg.mean_scores["epochs_to_quality"] == pytest.approx(11.33,
@@ -255,14 +255,14 @@ class TestAggregateRuns:
 
     def test_variation_over_all_submitted_runs(self, ewa):
         runs = runs_with_epochs([10, 12, 11, 13, 11], ewa)
-        agg = aggregate_runs(runs, ewa)
+        agg = aggregate_runs(runs)
         oracle = statistics.pstdev([10, 12, 11, 13, 11]) / statistics.fmean(
             [10, 12, 11, 13, 11])
         assert agg.variation == pytest.approx(oracle, abs=1e-12)
 
     def test_identical_runs(self, ewa):
         runs = runs_with_epochs([11] * 5, ewa)
-        agg = aggregate_runs(runs, ewa)
+        agg = aggregate_runs(runs)
         assert agg.variation == 0.0
         assert agg.mean_scores["epochs_to_quality"] == 11
 
@@ -270,30 +270,30 @@ class TestAggregateRuns:
         with pytest.raises(InsufficientRuns) as err:
             aggregate_runs(runs_with_epochs([10, 11, 12, 13], ic,
                                             scale=16, batch=2048,
-                                            sps=100.0), ic)
+                                            sps=100.0))
         assert err.value.required == 10
-        assert aggregate_runs(runs_with_epochs([10, 11, 12, 13, 14], ewa),
-                              ewa) is not None
+        assert aggregate_runs(
+            runs_with_epochs([10, 11, 12, 13, 14], ewa)) is not None
         with pytest.raises(InsufficientRuns):
-            aggregate_runs(runs_with_epochs([10, 11, 12, 13], ewa), ewa)
+            aggregate_runs(runs_with_epochs([10, 11, 12, 13], ewa))
 
     def test_permutation_invariance(self, ewa):
         epochs = [10, 12, 11, 13, 11]
-        a = aggregate_runs(runs_with_epochs(epochs, ewa), ewa)
-        b = aggregate_runs(list(reversed(runs_with_epochs(epochs, ewa))), ewa)
+        a = aggregate_runs(runs_with_epochs(epochs, ewa))
+        b = aggregate_runs(list(reversed(runs_with_epochs(epochs, ewa))))
         assert a.mean_scores == b.mean_scores
         assert [r.run_id for r in a.retained_runs] == \
             [r.run_id for r in b.retained_runs]
 
     def test_mean_within_retained_range(self, ewa):
         runs = runs_with_epochs([10, 29, 17, 23, 11, 14, 18], ewa)
-        agg = aggregate_runs(runs, ewa)
+        agg = aggregate_runs(runs)
         epochs = [r.epochs_to_quality for r in agg.retained_runs]
         assert min(epochs) <= agg.mean_scores["epochs_to_quality"] <= max(epochs)
 
     def test_per_watt_mean_present_when_power_recorded(self, ewa):
         runs = runs_with_epochs([10, 11, 12, 13, 14], ewa, power=2500.0)
-        agg = aggregate_runs(runs, ewa)
+        agg = aggregate_runs(runs)
         assert "vflops_per_watt" in agg.mean_scores
 
 
@@ -325,8 +325,8 @@ class TestRepeatability:
 
 class TestReplicability:
     def aggregate_pair(self, ewa, epochs_a, epochs_b, sps_b=5.75):
-        a = aggregate_runs(runs_with_epochs(epochs_a, ewa), ewa)
-        b = aggregate_runs(runs_with_epochs(epochs_b, ewa, sps=sps_b), ewa)
+        a = aggregate_runs(runs_with_epochs(epochs_a, ewa))
+        b = aggregate_runs(runs_with_epochs(epochs_b, ewa, sps=sps_b))
         return a, b
 
     def test_identical_aggregates_pass(self, ewa):
@@ -349,9 +349,9 @@ class TestReplicability:
         assert "flops" in report.failed_metrics
 
     def test_different_workloads_not_replicable(self, ewa, ic):
-        a = aggregate_runs(runs_with_epochs([10, 11, 12, 13, 14], ewa), ewa)
+        a = aggregate_runs(runs_with_epochs([10, 11, 12, 13, 14], ewa))
         b = aggregate_runs(runs_with_epochs(
             [10, 11, 12, 13, 14, 15, 16, 17, 18, 19], ic, scale=16,
-            batch=2048, sps=100.0), ic)
+            batch=2048, sps=100.0))
         with pytest.raises(NotReplicable):
             replicability_check(a, b, tolerance=0.05)

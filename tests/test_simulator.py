@@ -49,16 +49,15 @@ def ring_phase_oracle(message_bytes, participants):
 
 class TestAllreduceTraffic:
     def test_four_participants(self):
-        per, total = allreduce_traffic(100e6, 4, RING)
+        per, total = allreduce_traffic(100e6, 4)
         assert per == pytest.approx(150e6)
         assert total == pytest.approx(600e6)
 
     def test_single_participant_moves_nothing(self):
-        for topo in ALL_KINDS:
-            assert allreduce_traffic(123e6, 1, topo) == (0.0, 0.0)
+        assert allreduce_traffic(123e6, 1) == (0.0, 0.0)
 
     def test_64_participants_total(self):
-        _, total = allreduce_traffic(164e6, 64, RING)
+        _, total = allreduce_traffic(164e6, 64)
         assert total == pytest.approx(2 * 63 * 164e6)
         assert total == pytest.approx(20.664e9)
 
@@ -66,16 +65,13 @@ class TestAllreduceTraffic:
     def test_matches_phase_oracle(self, p):
         message = 41e6 * 4
         per_oracle, total_oracle = ring_phase_oracle(message, p)
-        for topo in ALL_KINDS:
-            if topo.kind is TopologyKind.HIERARCHICAL_RING and p % topo.groups:
-                topo = TopologySpec(kind=topo.kind, groups=1)
-            per, total = allreduce_traffic(message, p, topo)
-            assert per == pytest.approx(per_oracle, rel=1e-12)
-            assert total == pytest.approx(total_oracle, rel=1e-12)
+        per, total = allreduce_traffic(message, p)
+        assert per == pytest.approx(per_oracle, rel=1e-12)
+        assert total == pytest.approx(total_oracle, rel=1e-12)
 
     def test_total_is_participants_times_per(self):
         for p in (2, 5, 48):
-            per, total = allreduce_traffic(3e7, p, RING)
+            per, total = allreduce_traffic(3e7, p)
             assert total == pytest.approx(p * per, rel=1e-12)
 
 
@@ -100,7 +96,7 @@ class TestAllreduceTime:
     def test_latency_terms_by_topology(self):
         lat = 1e-3
         p = 16
-        base = allreduce_traffic(1e8, p, RING).per_participant / 1e9
+        base = allreduce_traffic(1e8, p).per_participant / 1e9
         ring = allreduce_time(1e8, p, TopologySpec.ring(latency=lat), 1e9)
         assert ring == pytest.approx(base + 2 * 15 * lat)
         tree = allreduce_time(
@@ -299,8 +295,8 @@ class TestCrossModuleBound:
                                           peak_flops=peak, peak_band=band)
                     point = RooflinePoint.from_traffic(
                         "sim", workload.flops_per_sample * batch * scale,
-                        allreduce_traffic(result.step.message_bytes, scale,
-                                          RING).total)
+                        allreduce_traffic(result.step.message_bytes,
+                                          scale).total)
                     bound = attained_bound(model, point.coi)
                     assert result.throughput_flops <= bound * (1 + 1e-9)
 

@@ -23,7 +23,7 @@ from hpcbench.presets import (
     reference_declaration,
 )
 from hpcbench.report import emit_report, rank, vflops_ratio
-from hpcbench.rules import Severity, Violation, aggregate_runs
+from hpcbench.rules import AggregateResult, Severity, Violation, aggregate_runs
 from hpcbench.store import IngestResult, ResultsStore, ingest
 from hpcbench.units import TERA
 
@@ -460,21 +460,24 @@ class TestEmitReport:
         epochs = [10, 12, 11, 13, 11]
         runs = [make_run(run_id=f"t{i}", epochs=e, power=power)
                 for i, e in enumerate(epochs)]
-        agg = aggregate_runs(runs, workload)
+        agg = aggregate_runs(runs)
         scores = {r.run_id: score_run(r) for r in runs}
         return workload, runs, agg, scores
 
     def test_all_three_parts_present(self):
         workload, runs, agg, scores = self.build_inputs()
         doc = emit_report(aggregate=agg, violations=[], scores=scores,
-                          system=runs[0].system,
-                          declaration=runs[0].declaration, workload=workload)
+                          declaration=runs[0].declaration)
         assert set(doc.data) >= {"system_under_test",
                                  "benchmark_configuration", "scores"}
         sut = doc.data["system_under_test"]
         assert set(sut) == {"cpu_and_accelerators", "intra_node_connection",
                             "os", "runtime_single_node",
                             "inter_node_connection", "runtime_system"}
+        assert doc.markdown.startswith(
+            f"# Benchmark report: {workload.name}\n")
+        assert sut["inter_node_connection"]["num_nodes"] == \
+            runs[0].system.num_nodes
         assert "## 1. System under test" in doc.markdown
         assert "## 2. Benchmark configuration" in doc.markdown
         assert "## 3. Scores" in doc.markdown
@@ -484,8 +487,7 @@ class TestEmitReport:
     def test_missing_power_marked_not_measured(self):
         workload, runs, agg, scores = self.build_inputs(power=None)
         doc = emit_report(aggregate=agg, violations=[], scores=scores,
-                          system=runs[0].system,
-                          declaration=runs[0].declaration, workload=workload)
+                          declaration=runs[0].declaration)
         assert "not measured" in doc.markdown
         row = doc.data["scores"]["runs"][0]
         assert row["vflops_per_watt"] == "not measured"
@@ -495,8 +497,15 @@ class TestEmitReport:
         workload, runs, agg, scores = self.build_inputs()
         with pytest.raises(IncompleteReport, match="declaration"):
             emit_report(aggregate=agg, violations=[], scores=scores,
-                        system=runs[0].system, declaration=None,
-                        workload=workload)
+                        declaration=None)
+
+    def test_aggregate_without_runs_rejected(self):
+        _, runs, _, scores = self.build_inputs()
+        empty = AggregateResult(retained_runs=(), dropped=(), mean_scores={},
+                                variation=0.0, wall_time_variation=0.0)
+        with pytest.raises(IncompleteReport, match="runs"):
+            emit_report(aggregate=empty, violations=[], scores=scores,
+                        declaration=runs[0].declaration)
 
     def test_ratio_study_reproduces_published_column(self):
         # accuracy-gain pairs chosen to land on the published ratios
@@ -514,8 +523,7 @@ class TestEmitReport:
                         time_to_quality=1.0, penalty=1.0)
             studies.append((label, base, opt))
         doc = emit_report(aggregate=agg, violations=[], scores=scores,
-                          system=runs[0].system,
-                          declaration=runs[0].declaration, workload=workload,
+                          declaration=runs[0].declaration,
                           ratio_studies=studies)
         ratios = [round(s["vflops_ratio"], 2)
                   for s in doc.data["optimization_studies"]]
@@ -525,8 +533,7 @@ class TestEmitReport:
     def test_every_reported_number_traces_to_inputs(self):
         workload, runs, agg, scores = self.build_inputs()
         doc = emit_report(aggregate=agg, violations=[], scores=scores,
-                          system=runs[0].system,
-                          declaration=runs[0].declaration, workload=workload)
+                          declaration=runs[0].declaration)
         by_id = {r.run_id: r for r in runs}
         for row in doc.data["scores"]["runs"]:
             run = by_id[row["run_id"]]
