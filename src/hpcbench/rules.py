@@ -452,8 +452,9 @@ def replicability_check(team_a: AggregateResult, team_b: AggregateResult,
     """Verify a second team's aggregate against the first within tolerance.
 
     Passes when every shared mean metric agrees within the relative
-    tolerance ``|a - b| / a``.  Aggregates of different workloads or
-    systems raise :class:`NotReplicable`.
+    tolerance ``|a - b| / a``.  Aggregates of different workloads (by
+    value, so two target qualities of one name differ) or systems raise
+    :class:`NotReplicable`.
     """
     if tolerance < 0:
         raise SchemaError("tolerance must be non-negative")
