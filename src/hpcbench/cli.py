@@ -9,13 +9,16 @@ violations present, 3 bad input: a schema error, a bad command-line
 argument, or a request the benchmarking procedure does not define (too
 few runs, mixed configurations).
 
-Each invocation is an independent process over the file store; there is
-no daemon state.
+Each invocation reads the file store afresh; there is no daemon state.
+``main`` builds its argument parser on the first call and reuses it for
+every later call in the same process; the parser holds no run data, and
+each call parses into a fresh namespace.
 """
 
 import argparse
 import csv
 import fnmatch
+import functools
 import json
 import marshal
 import sys
@@ -297,6 +300,7 @@ def _record_command(sub, name: str, func, help: str,
     return p
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hpcbench",

@@ -14,7 +14,7 @@ Every function here is pure: same inputs give bit-identical outputs.
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import JsonCodec, RunRecord
+from .core import JsonCodec, RunRecord, _num
 from .errors import (
     DegenerateComm,
     DegenerateTarget,
@@ -48,6 +48,8 @@ def penalty_coefficient(achieved: float, target: float, n: int) -> float:
     the target; no cap is applied.  ``n`` sets the sensitivity: larger
     exponents punish the same shortfall harder.
     """
+    _num(achieved, "achieved quality")
+    _num(target, "target quality")
     if target == 0:
         raise DegenerateTarget("target quality must be positive")
     if achieved < 0:
@@ -59,7 +61,7 @@ def penalty_coefficient(achieved: float, target: float, n: int) -> float:
 
 def vflops(flops: float, achieved: float, target: float, n: int) -> float:
     """Valid FLOPS: sustained FLOPS scaled by the quality penalty."""
-    if flops < 0:
+    if _num(flops, "flops") < 0:
         raise SchemaError(f"flops must be non-negative, got {flops}")
     return flops * penalty_coefficient(achieved, target, n)
 
@@ -78,6 +80,8 @@ def throughput_flops(samples_per_sec_per_rank: float, num_ranks: int,
     N is samples processed per second by each rank, R the number of
     ranks, C the FLOPs of work per sample.
     """
+    _num(samples_per_sec_per_rank, "samples per second per rank")
+    _num(flops_per_sample, "flops per sample")
     if samples_per_sec_per_rank < 0 or num_ranks < 0 or flops_per_sample < 0:
         raise SchemaError("throughput factors must be non-negative")
     return samples_per_sec_per_rank * num_ranks * flops_per_sample
@@ -132,7 +136,9 @@ def scaling_ratio(comp_per_step: float, comm_per_step: int) -> float:
 def parallel_efficiency(baseline_throughput: float, baseline_scale: int,
                         throughput: float, scale: int) -> float:
     """Achieved throughput over linearly scaled baseline throughput."""
-    if baseline_throughput <= 0 or baseline_scale <= 0:
+    _num(throughput, "throughput")
+    if (_num(baseline_throughput, "baseline throughput") <= 0
+            or baseline_scale <= 0):
         raise InvalidScaleOrder("baseline throughput and scale must be positive")
     if scale < baseline_scale:
         raise InvalidScaleOrder(

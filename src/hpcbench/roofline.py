@@ -228,6 +228,15 @@ def _select(model: RooflineModel, selector: Union[str, None],
     return c.value
 
 
+def _roof(model: RooflineModel, compute_ceiling: Union[str, None] = PEAK,
+          comm_ceiling: Union[str, None] = PEAK) -> tuple[float, float]:
+    """The (flat, band) pair the two ceiling selectors name."""
+    return (_select(model, compute_ceiling, CeilingKind.COMPUTATION,
+                    model.peak_flops),
+            _select(model, comm_ceiling, CeilingKind.COMMUNICATION,
+                    model.peak_band))
+
+
 def attained_bound(model: RooflineModel, point_coi: float,
                    compute_ceiling: Union[str, None] = PEAK,
                    comm_ceiling: Union[str, None] = PEAK) -> float:
@@ -237,10 +246,7 @@ def attained_bound(model: RooflineModel, point_coi: float,
     selects the theoretical peaks.  A COI of +inf returns the compute
     term (flat roof); a negative or NaN COI is a SchemaError.
     """
-    flat = _select(model, compute_ceiling, CeilingKind.COMPUTATION,
-                   model.peak_flops)
-    band = _select(model, comm_ceiling, CeilingKind.COMMUNICATION,
-                   model.peak_band)
+    flat, band = _roof(model, compute_ceiling, comm_ceiling)
     if not point_coi >= 0:
         raise SchemaError(f"coi must be non-negative, got {point_coi}")
     if math.isinf(point_coi):
@@ -432,22 +438,23 @@ def export_plot(model: Optional[RooflineModel],
 
     The CSV holds ``_SAMPLES`` log-spaced COI values with the peak-roof
     bound and one column per ceiling (each ceiling paired with the
-    opposite peak).  The SVG is a self-contained log-log chart, no
-    scripts or external fonts, viewBox 960x540.
+    opposite peak).  Each column's roof is resolved once and drawn over
+    the whole grid; every grid COI is finite and positive, so each value
+    is the one ``attained_bound`` gives.  The SVG is a self-contained
+    log-log chart, no scripts or external fonts, viewBox 960x540.
     """
     if model is None:
         raise NothingToPlot("no model to plot")
 
     grid = _coi_grid(model)
-    columns = {"bound_flops": [attained_bound(model, x) for x in grid]}
+    roofs = {"bound_flops": _roof(model)}
     for c in model.ceilings:
-        if c.kind is CeilingKind.COMPUTATION:
-            series = [attained_bound(model, x, compute_ceiling=c.name)
-                      for x in grid]
-        else:
-            series = [attained_bound(model, x, comm_ceiling=c.name)
-                      for x in grid]
-        columns[f"ceiling_{c.name}"] = series
+        roofs[f"ceiling_{c.name}"] = (
+            _roof(model, compute_ceiling=c.name)
+            if c.kind is CeilingKind.COMPUTATION
+            else _roof(model, comm_ceiling=c.name))
+    columns = {name: [min(flat, band * x) for x in grid]
+               for name, (flat, band) in roofs.items()}
 
     header = ["coi"] + list(columns)
     rows = [",".join(header)]
@@ -530,10 +537,11 @@ def _render_svg(model, points, grid, columns) -> str:
                f'transform="rotate(-90 20 {_VIEW_H / 2:.0f})">'
                'attainable FLOPS</text>')
 
-    # roof first (thick), then ceilings
+    # roof first (thick), then ceilings, all over the same x positions
+    grid_x = [f"{sx(x):.1f}" for x in grid]
     for idx, (name, series) in enumerate(columns.items()):
-        pts = " ".join(f"{sx(x):.1f},{sy(max(v, y_lo)):.1f}"
-                       for x, v in zip(grid, series))
+        pts = " ".join(f"{px},{sy(max(v, y_lo)):.1f}"
+                       for px, v in zip(grid_x, series))
         color = "#111111" if idx == 0 else _SERIES_COLORS[idx % len(_SERIES_COLORS)]
         width = 2.5 if idx == 0 else 1.2
         dash = "" if idx == 0 else ' stroke-dasharray="6,4"'

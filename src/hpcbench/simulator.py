@@ -127,7 +127,7 @@ def allreduce_traffic(message_bytes: float, participants: int) -> Traffic:
     """
     if participants < 1:
         raise SchemaError("participants must be >= 1")
-    if message_bytes < 0:
+    if _num(message_bytes, "message_bytes") < 0:
         raise SchemaError("message_bytes must be non-negative")
     p = participants
     if p == 1:
@@ -174,7 +174,7 @@ def step_time(compute: float, comm: float, overlap: OverlapModel) -> float:
     Bounded by ``max(compute, comm)`` (perfect overlap) and
     ``compute + comm`` (fully serial); monotone non-increasing in alpha.
     """
-    if compute < 0 or comm < 0:
+    if _num(compute, "compute time") < 0 or _num(comm, "comm time") < 0:
         raise SchemaError("compute and comm times must be non-negative")
     a = overlap.alpha
     return a * max(compute, comm) + (1.0 - a) * (compute + comm)

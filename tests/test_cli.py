@@ -5,7 +5,8 @@ from dataclasses import replace
 import pytest
 
 from hpcbench import rules
-from hpcbench.cli import _audit, main
+from hpcbench import cli
+from hpcbench.cli import _audit, _build_parser, main
 from hpcbench.core import BenchLevel, NineLayerDeclaration, dumps
 from hpcbench.presets import case_study_system, ewa_workload
 from hpcbench.rules import Severity
@@ -378,6 +379,48 @@ class TestSimulateCommand:
         assert [r["scale"] for r in rows] == [8, 16]
         assert (out_dir / "sweep.csv").exists()
         assert len(list(out_dir.glob("sim-*.json"))) == 2
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; no call leaves
+    anything in it that a later call reads."""
+
+    def test_one_parser_per_process(self):
+        assert _build_parser() is _build_parser()
+
+    def test_usage_error_does_not_leak_into_the_next_call(self, tmp_path,
+                                                           capsys):
+        scenario = str(write_scenario(tmp_path))
+        _, alone, _ = run_cli(capsys, "simulate", scenario, "--format", "json")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate"])
+        assert exc.value.code == 3
+        capsys.readouterr()
+        code, after, _ = run_cli(capsys, "simulate", scenario,
+                                 "--format", "json")
+        assert code == 0
+        assert after == alone
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--reference", None), ("--select", "ic-fp32-16-*"),
+        ("--workload", "image_classification")])
+    def test_an_omitted_flag_reads_as_unset(self, ranking_store, monkeypatch,
+                                            capsys, flag, value):
+        seen = []
+        runs = cli._runs
+
+        def spy(args, verb):
+            seen.append(args)
+            return runs(args, verb)
+
+        monkeypatch.setattr(cli, "_runs", spy)
+        root = str(ranking_store["root"])
+        value = value or str(ranking_store["reference"])
+        run_cli(capsys, "rank", flag, value, root)
+        run_cli(capsys, "rank", root)
+        attr = flag.lstrip("-")
+        assert getattr(seen[0], attr) == value
+        assert getattr(seen[1], attr) is None
 
 
 class TestHostileInputs:

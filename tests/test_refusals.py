@@ -21,6 +21,12 @@ from hpcbench.errors import (
     ParseError,
     SchemaError,
 )
+from hpcbench.metrics import (
+    parallel_efficiency,
+    penalty_coefficient,
+    throughput_flops,
+    vflops,
+)
 from hpcbench.presets import (
     case_study_system,
     image_classification_workload,
@@ -40,7 +46,12 @@ from hpcbench.rules import (
     lr_schedule,
     replicability_check,
 )
-from hpcbench.simulator import run_scenario
+from hpcbench.simulator import (
+    OverlapModel,
+    allreduce_traffic,
+    run_scenario,
+    step_time,
+)
 from hpcbench.store import ResultsStore
 
 POINT = RooflinePoint.from_traffic("p", 1e12, 1e6)
@@ -118,12 +129,26 @@ def _replicate_at_two_targets(tmp_path):
     (lambda _: rank(_two_definitions()), IncomparableWorkloads,
      r"cannot rank across workloads: image_classification \(target 0\.763\), "
      r"image_classification \(target 0\.05\)$"),
+    (lambda _: penalty_coefficient(math.nan, 0.7, 10), SchemaError,
+     "achieved quality must be finite, got nan"),
+    (lambda _: vflops(math.nan, 0.7, 0.7, 10), SchemaError,
+     "flops must be finite, got nan"),
+    (lambda _: throughput_flops(math.nan, 4, 1e9), SchemaError,
+     "samples per second per rank must be finite, got nan"),
+    (lambda _: parallel_efficiency(math.nan, 1, 1e3, 4), SchemaError,
+     "baseline throughput must be finite, got nan"),
+    (lambda _: step_time(math.nan, 1.0, OverlapModel(0.5)), SchemaError,
+     "compute time must be finite, got nan"),
+    (lambda _: allreduce_traffic(math.nan, 4), SchemaError,
+     "message_bytes must be finite, got nan"),
 ], ids=["schedule-warmup", "lr_schedule-nan", "compress-nan",
         "compress-string", "precision-shift-nan", "store-load-not-utf8",
         "scenario-not-utf8", "aggregate-two-configurations", "schedule-at-nan",
         "attained-bound-nan", "attained-bound-minus-inf",
         "aggregate-two-definitions", "aggregate-no-runs",
-        "replicability-two-definitions", "rank-two-definitions"])
+        "replicability-two-definitions", "rank-two-definitions",
+        "penalty-nan", "vflops-nan", "throughput-nan", "efficiency-nan",
+        "step-time-nan", "allreduce-traffic-nan"])
 def test_the_owner_refuses_bad_input(tmp_path, call, error, match):
     with pytest.raises(error, match=match):
         call(tmp_path)

@@ -33,6 +33,7 @@ from hpcbench.roofline import (
     RooflineMode,
     RooflineModel,
     RooflinePoint,
+    _coi_grid,
     apply_whatif,
     attained_bound,
     build_model,
@@ -395,6 +396,25 @@ class TestExportPlot:
         for line in lines[1:]:
             _, roof, ceil = map(float, line.split(","))
             assert ceil == pytest.approx(roof, rel=1e-9)
+
+    def test_series_match_the_scalar_bound(self):
+        model = mixed_case_study_model()
+        kinds = {c.kind for c in model.ceilings}
+        assert kinds == {CeilingKind.COMPUTATION, CeilingKind.COMMUNICATION}
+        lines = export_plot(model).csv.splitlines()
+        header = lines[0].split(",")
+        selectors = {"bound_flops": {}}
+        for c in model.ceilings:
+            key = ("compute_ceiling" if c.kind is CeilingKind.COMPUTATION
+                   else "comm_ceiling")
+            selectors[f"ceiling_{c.name}"] = {key: c.name}
+        assert header == ["coi", *selectors]
+        grid = _coi_grid(model)
+        assert len(lines) == len(grid) + 1
+        for x, line in zip(grid, lines[1:]):
+            assert line.split(",") == [f"{x:.9g}", *(
+                f"{attained_bound(model, x, **kw):.9g}"
+                for kw in selectors.values())]
 
     def test_svg_is_self_contained(self):
         model = build_model(case_study_system(num_nodes=2),
