@@ -88,11 +88,15 @@ def _num(value: Any, name: str) -> float:
     return float(value)
 
 
-def _int(value: Any, name: str, minimum: int) -> int:
-    """``value`` if it is an integer (not a ``bool``) ``>= minimum``."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise SchemaError(f"{name} must be an integer >= {minimum}, "
-                          f"got {value!r}")
+def _int(value: Any, name: str, minimum: Optional[int] = None) -> int:
+    """``value`` if it is an integer (not a ``bool``), ``>= minimum`` when
+    one is given."""
+    if type(value) is int and (minimum is None or value >= minimum):
+        return value
+    if (not isinstance(value, int) or isinstance(value, bool)
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise SchemaError(f"{name} must be an integer{bound}, got {value!r}")
     return value
 
 

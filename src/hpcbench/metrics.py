@@ -14,7 +14,7 @@ Every function here is pure: same inputs give bit-identical outputs.
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import JsonCodec, RunRecord, _num
+from .core import JsonCodec, RunRecord, _int, _num
 from .errors import (
     DegenerateComm,
     DegenerateTarget,
@@ -81,6 +81,7 @@ def throughput_flops(samples_per_sec_per_rank: float, num_ranks: int,
     ranks, C the FLOPs of work per sample.
     """
     _num(samples_per_sec_per_rank, "samples per second per rank")
+    _int(num_ranks, "num_ranks")
     _num(flops_per_sample, "flops per sample")
     if samples_per_sec_per_rank < 0 or num_ranks < 0 or flops_per_sample < 0:
         raise SchemaError("throughput factors must be non-negative")
@@ -137,6 +138,8 @@ def parallel_efficiency(baseline_throughput: float, baseline_scale: int,
                         throughput: float, scale: int) -> float:
     """Achieved throughput over linearly scaled baseline throughput."""
     _num(throughput, "throughput")
+    _int(baseline_scale, "baseline scale")
+    _int(scale, "scale")
     if (_num(baseline_throughput, "baseline throughput") <= 0
             or baseline_scale <= 0):
         raise InvalidScaleOrder("baseline throughput and scale must be positive")

@@ -101,6 +101,9 @@ class Ceiling(JsonCodec):
         object.__setattr__(self, "kind", _coerce(CeilingKind, self.kind, "kind"))
         if not isinstance(self.name, str) or not self.name:
             raise SchemaError("ceiling name must be a non-empty string")
+        if self.name == PEAK:
+            raise SchemaError(f"ceiling name {PEAK!r} is reserved for the "
+                              f"theoretical peak")
         if _num(self.value, f"ceiling {self.name!r} value") <= 0:
             raise SchemaError(f"ceiling {self.name!r} must be positive")
 

@@ -19,6 +19,13 @@ time by construction.
 Quality is never synthesized: every scenario must declare the achieved
 quality of the run records it emits.  Identical inputs (including the
 skew seed) give identical outputs.
+
+One ``run_scenario`` sweep does its shared work once: one options object
+serves every scale without an ``options_by_scale`` override, each
+``(scale, per-rank batch, options)`` step is costed once (so the
+single-node step is also the efficiency baseline of the larger scales),
+and each ``(skew_seed, negotiation_skew)`` offset sequence is drawn once
+and sliced per scale.  Nothing is kept between calls.
 """
 
 import csv
@@ -125,8 +132,7 @@ def allreduce_traffic(message_bytes: float, participants: int) -> Traffic:
     message sizes, for a total of ``2 * (p - 1)`` across the group.  A
     single participant moves nothing.
     """
-    if participants < 1:
-        raise SchemaError("participants must be >= 1")
+    _int(participants, "participants", 1)
     if _num(message_bytes, "message_bytes") < 0:
         raise SchemaError("message_bytes must be non-negative")
     p = participants
@@ -193,14 +199,18 @@ class PhaseTimeline(JsonCodec):
     memcpy_out: float
 
     def __post_init__(self):
-        for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise SchemaError(f"phase {f.name} must be non-negative")
+        for name in _PHASES:
+            if getattr(self, name) < 0:
+                raise SchemaError(f"phase {name} must be non-negative")
 
     def total(self) -> float:
         return (self.negotiation + self.wait_for_data
                 + self.wait_for_other_data + self.queuing
                 + self.memcpy_in + self.allreduce + self.memcpy_out)
+
+
+# Read once: ``fields()`` rebuilds its tuple on every call.
+_PHASES = tuple(f.name for f in fields(PhaseTimeline))
 
 
 @dataclass(frozen=True)
@@ -239,6 +249,7 @@ class SimulationOptions(JsonCodec):
             raise SchemaError("compress_factor must be >= 1")
         if _num(self.negotiation_skew, "negotiation_skew") < 0:
             raise SchemaError("negotiation_skew must be non-negative")
+        _int(self.skew_seed, "skew_seed", 0)
         _int(self.gradient_tensors, "gradient_tensors", 1)
         if self.baseline_scale is not None:
             _int(self.baseline_scale, "baseline_scale", 1)
@@ -268,61 +279,6 @@ class StepBreakdown:
     message_bytes: float
     participants: int
     bandwidth: float
-
-
-def _skew_components(participants: int, skew: float,
-                     seed: int) -> tuple[float, float]:
-    """(negotiation, queuing) from seeded uniform readiness offsets.
-
-    Negotiation spans from the first ready rank to the last; queuing is
-    the mean backlog the stragglers impose on the group's coordinator.
-    Zero skew gives zero for both.
-    """
-    if skew == 0 or participants == 1:
-        return 0.0, 0.0
-    rng = random.Random(seed)
-    offsets = [rng.uniform(0.0, skew) for _ in range(participants)]
-    latest = max(offsets)
-    negotiation = latest - min(offsets)
-    queuing = sum(latest - o for o in offsets) / participants
-    return negotiation, queuing
-
-
-def simulate_step(system: SystemConfig, workload: WorkloadSpec, scale: int,
-                  per_rank_batch: int, precision: PrecisionMode,
-                  topology: TopologySpec, overlap: OverlapModel,
-                  options: SimulationOptions) -> StepBreakdown:
-    """Cost one training step at the given scale."""
-    node = system.node
-    apn = node.accelerators_per_node
-    if scale < 1 or scale > system.total_accelerators:
-        raise SchemaError(
-            f"scale {scale} outside [1, {system.total_accelerators}]")
-    if scale > apn and scale % apn:
-        raise SchemaError(
-            f"multi-node scale {scale} must fill whole nodes of {apn}")
-
-    peak = node.accelerator.peak_for(precision)
-    compute = (per_rank_batch * workload.flops_per_sample
-               / (peak * options.compute_efficiency))
-
-    bandwidth = (node.intra_node_bandwidth if scale <= apn
-                 else system.inter_node_bandwidth_effective)
-    message = workload.gradient_bytes / options.compress_factor
-    tensors = options.gradient_tensors
-    ar = tensors * allreduce_time(message / tensors, scale, topology, bandwidth)
-
-    negotiation, queuing = _skew_components(scale, options.negotiation_skew,
-                                            options.skew_seed)
-    memcpy_each = (message / node.accelerator.memory_bandwidth
-                   if scale > 1 else 0.0)
-    comm_processing = negotiation + queuing + 2 * memcpy_each + ar
-    seconds = step_time(compute, comm_processing, overlap)
-    return StepBreakdown(
-        compute_time=compute, comm_processing=comm_processing,
-        step_seconds=seconds, alpha=overlap.alpha, negotiation=negotiation,
-        queuing=queuing, memcpy_each=memcpy_each, allreduce_seconds=ar,
-        message_bytes=message, participants=scale, bandwidth=bandwidth)
 
 
 def phase_breakdown(step: StepBreakdown) -> PhaseTimeline:
@@ -381,6 +337,167 @@ def _declaration(system: SystemConfig, workload: WorkloadSpec,
     return NineLayerDeclaration(layers=tuple(layers))
 
 
+class _Sweep:
+    """The work one ``simulate_training`` or ``run_scenario`` call shares
+    across its scales.  Each call makes its own; nothing outlives it.
+
+    ``step`` costs each ``(scale, per-rank batch, options)`` step once,
+    so one scale's step is also the efficiency baseline of the larger
+    ones.  ``SimulationOptions`` holds a dict and cannot be hashed, so
+    steps are keyed by the options object's ``id``; the sweep keeps a
+    reference to every options object it keyed, so no ``id`` is reused
+    while it lives.  ``_skew`` draws each ``(skew_seed,
+    negotiation_skew)`` offset sequence once, for ``participants`` (the
+    call's largest scale), and slices it per scale: ``Random(seed)``
+    draws in sequence, so the first ``p`` offsets are those a fresh draw
+    of ``p`` gives.
+    """
+
+    def __init__(self, system: SystemConfig, workload: WorkloadSpec,
+                 precision: PrecisionMode, topology: TopologySpec,
+                 overlap: OverlapModel, participants: int):
+        self.system, self.workload, self.precision = system, workload, precision
+        self.topology, self.overlap = topology, overlap
+        self.participants = participants
+        self._offsets: dict = {}  # (seed, skew) -> offsets
+        self._steps: dict = {}    # (id(options), scale, batch) -> step
+        self._held: dict = {}     # id(options) -> options
+
+    def _skew(self, participants: int,
+              options: SimulationOptions) -> tuple[float, float]:
+        """(negotiation, queuing) from seeded uniform readiness offsets.
+
+        Negotiation spans from the first ready rank to the last; queuing
+        is the mean backlog the stragglers impose on the group's
+        coordinator.  Zero skew gives zero for both.
+        """
+        skew, seed = options.negotiation_skew, options.skew_seed
+        if skew == 0 or participants == 1:
+            return 0.0, 0.0
+        drawn = self._offsets.get((seed, skew))
+        if drawn is None or len(drawn) < participants:
+            rng = random.Random(seed)
+            drawn = self._offsets[seed, skew] = [
+                rng.uniform(0.0, skew)
+                for _ in range(max(participants, self.participants))]
+        offsets = drawn[:participants]
+        latest = max(offsets)
+        negotiation = latest - min(offsets)
+        queuing = sum(latest - o for o in offsets) / participants
+        return negotiation, queuing
+
+    def _cost(self, scale: int, per_rank_batch: int,
+              options: SimulationOptions) -> StepBreakdown:
+        system = self.system
+        node = system.node
+        apn = node.accelerators_per_node
+        if scale < 1 or scale > system.total_accelerators:
+            raise SchemaError(
+                f"scale {scale} outside [1, {system.total_accelerators}]")
+        if scale > apn and scale % apn:
+            raise SchemaError(
+                f"multi-node scale {scale} must fill whole nodes of {apn}")
+
+        peak = node.accelerator.peak_for(self.precision)
+        compute = (per_rank_batch * self.workload.flops_per_sample
+                   / (peak * options.compute_efficiency))
+
+        bandwidth = (node.intra_node_bandwidth if scale <= apn
+                     else system.inter_node_bandwidth_effective)
+        message = self.workload.gradient_bytes / options.compress_factor
+        tensors = options.gradient_tensors
+        ar = tensors * allreduce_time(message / tensors, scale, self.topology,
+                                      bandwidth)
+
+        negotiation, queuing = self._skew(scale, options)
+        memcpy_each = (message / node.accelerator.memory_bandwidth
+                       if scale > 1 else 0.0)
+        comm_processing = negotiation + queuing + 2 * memcpy_each + ar
+        seconds = step_time(compute, comm_processing, self.overlap)
+        return StepBreakdown(
+            compute_time=compute, comm_processing=comm_processing,
+            step_seconds=seconds, alpha=self.overlap.alpha,
+            negotiation=negotiation, queuing=queuing, memcpy_each=memcpy_each,
+            allreduce_seconds=ar, message_bytes=message, participants=scale,
+            bandwidth=bandwidth)
+
+    def step(self, scale: int, per_rank_batch: int,
+             options: SimulationOptions) -> StepBreakdown:
+        key = (id(options), scale, per_rank_batch)
+        step = self._steps.get(key)
+        if step is None:
+            self._held[id(options)] = options
+            step = self._steps[key] = self._cost(scale, per_rank_batch,
+                                                 options)
+        return step
+
+    def simulate(self, scale: int, global_batchsize: int,
+                 options: SimulationOptions) -> SimulationResult:
+        system, workload, precision = self.system, self.workload, self.precision
+        if global_batchsize % scale:
+            raise BatchShardError(
+                f"global batch {global_batchsize} does not shard over "
+                f"{scale} ranks")
+        per_rank_batch = global_batchsize // scale
+
+        step = self.step(scale, per_rank_batch, options)
+        timeline = phase_breakdown(step)
+
+        epochs_run = (options.epochs_to_quality if options.epochs_to_quality
+                      is not None else float(workload.epochs))
+        steps_per_epoch = math.ceil(workload.dataset_samples / global_batchsize)
+        wall_time = epochs_run * steps_per_epoch * step.step_seconds
+
+        samples_per_second_per_rank = per_rank_batch / step.step_seconds
+        throughput = throughput_flops(samples_per_second_per_rank, scale,
+                                      workload.flops_per_sample)
+
+        baseline_scale = options.baseline_scale
+        if baseline_scale is None:
+            baseline_scale = min(scale, system.node.accelerators_per_node)
+        if baseline_scale > scale:
+            raise SchemaError("baseline_scale must not exceed scale")
+        if baseline_scale == scale:
+            efficiency = 1.0
+        else:
+            base = self.step(baseline_scale, per_rank_batch, options)
+            base_rate = per_rank_batch / base.step_seconds
+            efficiency = samples_per_second_per_rank / base_rate
+
+        run_id = options.run_id or (
+            f"sim-{workload.name}-{scale}x-{precision.value}-b{global_batchsize}"
+            f"-s{options.skew_seed}")
+        run = RunRecord(
+            run_id=run_id,
+            workload=workload,
+            system=system,
+            scale=scale,
+            precision=precision,
+            global_batchsize=global_batchsize,
+            achieved_quality=options.achieved_quality,
+            wall_time=wall_time,
+            epochs_to_quality=epochs_run,
+            samples_per_second_per_rank=samples_per_second_per_rank,
+            num_ranks=scale,
+            level=options.level,
+            declaration=_declaration(system, workload, global_batchsize,
+                                     precision, self.topology, options),
+            average_power=options.average_power,
+        )
+        return SimulationResult(run=run, throughput_flops=throughput,
+                                efficiency=efficiency, timeline=timeline,
+                                step=step)
+
+
+def simulate_step(system: SystemConfig, workload: WorkloadSpec, scale: int,
+                  per_rank_batch: int, precision: PrecisionMode,
+                  topology: TopologySpec, overlap: OverlapModel,
+                  options: SimulationOptions) -> StepBreakdown:
+    """Cost one training step at the given scale."""
+    return _Sweep(system, workload, precision, topology, overlap,
+                  scale)._cost(scale, per_rank_batch, options)
+
+
 def simulate_training(system: SystemConfig, workload: WorkloadSpec,
                       scale: int, global_batchsize: int,
                       precision: PrecisionMode, topology: TopologySpec,
@@ -393,64 +510,12 @@ def simulate_training(system: SystemConfig, workload: WorkloadSpec,
     is steps times the blended step time over the epochs the scenario
     declares it took to reach quality.  Parallel efficiency is measured
     against ``options.baseline_scale`` (default: the single-node scale)
-    at the same per-rank batch.
+    at the same per-rank batch.  A one-scale sweep: ``run_scenario``
+    gives each scale the same result.
     """
     precision = _coerce(PrecisionMode, precision, "precision")
-    if global_batchsize % scale:
-        raise BatchShardError(
-            f"global batch {global_batchsize} does not shard over "
-            f"{scale} ranks")
-    per_rank_batch = global_batchsize // scale
-
-    step = simulate_step(system, workload, scale, per_rank_batch, precision,
-                         topology, overlap, options)
-    timeline = phase_breakdown(step)
-
-    epochs_run = (options.epochs_to_quality if options.epochs_to_quality
-                  is not None else float(workload.epochs))
-    steps_per_epoch = math.ceil(workload.dataset_samples / global_batchsize)
-    wall_time = epochs_run * steps_per_epoch * step.step_seconds
-
-    samples_per_second_per_rank = per_rank_batch / step.step_seconds
-    throughput = throughput_flops(samples_per_second_per_rank, scale,
-                                  workload.flops_per_sample)
-
-    baseline_scale = options.baseline_scale
-    if baseline_scale is None:
-        baseline_scale = min(scale, system.node.accelerators_per_node)
-    if baseline_scale > scale:
-        raise SchemaError("baseline_scale must not exceed scale")
-    if baseline_scale == scale:
-        efficiency = 1.0
-    else:
-        base = simulate_step(system, workload, baseline_scale, per_rank_batch,
-                             precision, topology, overlap, options)
-        base_rate = per_rank_batch / base.step_seconds
-        efficiency = samples_per_second_per_rank / base_rate
-
-    run_id = options.run_id or (
-        f"sim-{workload.name}-{scale}x-{precision.value}-b{global_batchsize}"
-        f"-s{options.skew_seed}")
-    run = RunRecord(
-        run_id=run_id,
-        workload=workload,
-        system=system,
-        scale=scale,
-        precision=precision,
-        global_batchsize=global_batchsize,
-        achieved_quality=options.achieved_quality,
-        wall_time=wall_time,
-        epochs_to_quality=epochs_run,
-        samples_per_second_per_rank=samples_per_second_per_rank,
-        num_ranks=scale,
-        level=options.level,
-        declaration=_declaration(system, workload, global_batchsize,
-                                 precision, topology, options),
-        average_power=options.average_power,
-    )
-    return SimulationResult(run=run, throughput_flops=throughput,
-                            efficiency=efficiency, timeline=timeline,
-                            step=step)
+    return _Sweep(system, workload, precision, topology, overlap,
+                  scale).simulate(scale, global_batchsize, options)
 
 
 def sweep_csv(results: Sequence[SimulationResult]) -> str:
@@ -510,15 +575,22 @@ def run_scenario(scenario, out_dir=None) -> list[SimulationResult]:
     _require(not unknown, f"options_by_scale keys name no swept scale: "
                           f"{', '.join(unknown)}")
 
+    sim = _Sweep(system, workload, precision, topology, overlap, max(sweep))
+    # Built on first use: when every scale has an override, the base
+    # options alone need not be valid.
+    shared = None
     results = []
     for scale in sweep:
-        override = by_scale.get(str(scale), {})
-        _require(_is_mapping(override),
-                 f"scenario options_by_scale[{scale}] must be an object")
-        options = SimulationOptions.from_dict({**base_options, **override})
-        results.append(simulate_training(
-            system, workload, scale, per_rank_batch * scale,
-            precision, topology, overlap, options))
+        if str(scale) not in by_scale:
+            if shared is None:
+                shared = SimulationOptions.from_dict(base_options)
+            options = shared
+        else:
+            override = by_scale[str(scale)]
+            _require(_is_mapping(override),
+                     f"scenario options_by_scale[{scale}] must be an object")
+            options = SimulationOptions.from_dict({**base_options, **override})
+        results.append(sim.simulate(scale, per_rank_batch * scale, options))
 
     if out_dir is not None:
         for r in results:

@@ -14,7 +14,8 @@ Run ids and workload names become path components, so both must match
 temporary file beside the target, fsynced and renamed over it, so a
 crash leaves the old record or the new one, never a truncated file.
 Writes take an advisory lock file at the store root that names its
-owner; reads need no coordination.
+owner, once per ``add`` or once per ``add_all`` batch; reads need no
+coordination.
 """
 
 import fnmatch
@@ -23,6 +24,7 @@ import os
 import platform
 import re
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
@@ -146,6 +148,7 @@ class ResultsStore:
     def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._holding = False
 
     def _lock_path(self) -> Path:
         return self.root / self.LOCK_NAME
@@ -181,6 +184,21 @@ class ResultsStore:
         except FileNotFoundError:
             pass
 
+    @contextmanager
+    def _locked(self):
+        """Hold the store lock; a use nested in another (each ``add`` of
+        an ``add_all``) keeps the lock the outer one took."""
+        if self._holding:
+            yield
+            return
+        self._acquire_lock()
+        self._holding = True
+        try:
+            yield
+        finally:
+            self._holding = False
+            self._release_lock()
+
     def path_for(self, run: RunRecord) -> Path:
         """``root/<workload>/<run_id>.json``; raises :class:`SchemaError`
         if either name is not a safe path component."""
@@ -210,20 +228,21 @@ class ResultsStore:
         id stored under another workload is still a duplicate.
         """
         target = self.path_for(run)
-        self._acquire_lock()
-        try:
+        with self._locked():
             if self._stored(run.run_id,
                             skip=run.workload.name if overwrite else None):
                 raise DuplicateRun(f"run_id {run.run_id!r} already stored")
             target.parent.mkdir(parents=True, exist_ok=True)
             _write_atomic(target, json.dumps(run.to_dict(), indent=2) + "\n")
-        finally:
-            self._release_lock()
         return target
 
     def add_all(self, runs: Iterable[RunRecord]) -> None:
-        for run in runs:
-            self.add(run)
+        """``add`` each run in order under one hold of the store lock.  At
+        the first failure (a duplicate, say) the runs before it stay
+        written and the lock is released."""
+        with self._locked():
+            for run in runs:
+                self.add(run)
 
     def index(self) -> dict[str, Path]:
         """Rebuild the run_id -> path index from the tree."""

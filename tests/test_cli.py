@@ -514,6 +514,8 @@ class TestHostileInputs:
                      "extra_declaration": {"x.y": 1}}),
         ("options", {"achieved_quality": 0.35,
                      "extra_declaration": {"0.note": "z"}}),
+        ("options", {"achieved_quality": 0.35, "negotiation_skew": 1e-4,
+                     "skew_seed": [1]}),
     ])
     def test_simulate_scenario_values(self, tmp_path, capsys, key, value):
         scenario_path = write_scenario(tmp_path)

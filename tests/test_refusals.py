@@ -16,6 +16,7 @@ from hpcbench.cli import main
 from hpcbench.core import dumps
 from hpcbench.errors import (
     IncomparableWorkloads,
+    InvalidScaleOrder,
     InvalidSchedule,
     NotReplicable,
     ParseError,
@@ -33,6 +34,7 @@ from hpcbench.presets import (
 )
 from hpcbench.report import rank
 from hpcbench.roofline import (
+    Ceiling,
     Compress,
     PrecisionShift,
     RooflinePoint,
@@ -48,6 +50,7 @@ from hpcbench.rules import (
 )
 from hpcbench.simulator import (
     OverlapModel,
+    SimulationOptions,
     allreduce_traffic,
     run_scenario,
     step_time,
@@ -141,6 +144,18 @@ def _replicate_at_two_targets(tmp_path):
      "compute time must be finite, got nan"),
     (lambda _: allreduce_traffic(math.nan, 4), SchemaError,
      "message_bytes must be finite, got nan"),
+    (lambda _: throughput_flops(1.0, math.nan, 1e9), SchemaError,
+     "num_ranks must be an integer, got nan"),
+    (lambda _: parallel_efficiency(1e3, 1, 1e3, math.nan), SchemaError,
+     "scale must be an integer, got nan"),
+    (lambda _: parallel_efficiency(1e3, 0, 1e3, 4), InvalidScaleOrder,
+     "baseline throughput and scale must be positive"),
+    (lambda _: allreduce_traffic(1e6, math.nan), SchemaError,
+     "participants must be an integer >= 1, got nan"),
+    (lambda _: Ceiling("peak", "computation", 50e12), SchemaError,
+     "ceiling name 'peak' is reserved for the theoretical peak"),
+    (lambda _: SimulationOptions(achieved_quality=0.5, skew_seed=[1]),
+     SchemaError, r"skew_seed must be an integer >= 0, got \[1\]"),
 ], ids=["schedule-warmup", "lr_schedule-nan", "compress-nan",
         "compress-string", "precision-shift-nan", "store-load-not-utf8",
         "scenario-not-utf8", "aggregate-two-configurations", "schedule-at-nan",
@@ -148,7 +163,10 @@ def _replicate_at_two_targets(tmp_path):
         "aggregate-two-definitions", "aggregate-no-runs",
         "replicability-two-definitions", "rank-two-definitions",
         "penalty-nan", "vflops-nan", "throughput-nan", "efficiency-nan",
-        "step-time-nan", "allreduce-traffic-nan"])
+        "step-time-nan", "allreduce-traffic-nan", "throughput-nan-ranks",
+        "efficiency-nan-scale", "efficiency-zero-baseline-scale",
+        "allreduce-traffic-nan-participants", "ceiling-named-peak",
+        "skew-seed-list"])
 def test_the_owner_refuses_bad_input(tmp_path, call, error, match):
     with pytest.raises(error, match=match):
         call(tmp_path)

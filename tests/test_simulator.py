@@ -1,9 +1,12 @@
 import json
 import math
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from hpcbench.cli import main
 from hpcbench.core import PrecisionMode, loads
 from hpcbench.errors import BatchShardError, DegenerateBand, SchemaError
 from hpcbench.presets import (
@@ -385,3 +388,89 @@ class TestScenario:
         doc["sweep"] = []
         with pytest.raises(SchemaError):
             run_scenario(doc)
+
+
+class TestSweepSharesWork:
+    """``run_scenario`` costs each step and draws each skew sequence once
+    per call; every result must equal a lone ``simulate_training``."""
+
+    SKEW, SEED = 4e-4, 31
+
+    def scenario(self, ewa, seed=SEED):
+        return {
+            "system": case_study_system().to_dict(),
+            "workload": ewa.to_dict(),
+            "sweep": [2, 4, 8, 16, 32, 64],
+            "per_rank_batch": 2,
+            "precision": "fp32",
+            "alpha": 0.7,
+            "topology": {"kind": "ring", "per_message_latency": 5e-6},
+            "options": {"achieved_quality": 0.35, "compute_efficiency": 0.26,
+                        "negotiation_skew": self.SKEW, "skew_seed": seed,
+                        "gradient_tensors": 16, "baseline_scale": 2},
+            "options_by_scale": {"16": {"negotiation_skew": 9e-4,
+                                        "skew_seed": seed + 1,
+                                        "compute_efficiency": 0.2}},
+        }
+
+    def lone(self, doc, scale):
+        options = {**doc["options"], **doc["options_by_scale"].get(str(scale), {})}
+        return simulate_training(
+            case_study_system(), ewa_workload(), scale,
+            doc["per_rank_batch"] * scale, doc["precision"],
+            TopologySpec.from_dict(doc["topology"]), OverlapModel(doc["alpha"]),
+            SimulationOptions(**options))
+
+    def assert_each_scale_is_lone(self, doc, results):
+        assert [r.run.scale for r in results] == doc["sweep"]
+        for r in results:
+            lone = self.lone(doc, r.run.scale)
+            assert r.run == lone.run
+            assert r.throughput_flops == lone.throughput_flops
+            assert r.efficiency == lone.efficiency
+            assert r.timeline == lone.timeline
+            assert r.step == lone.step
+
+    def test_each_scale_equals_a_lone_simulation(self, ewa):
+        doc = self.scenario(ewa)
+        self.assert_each_scale_is_lone(doc, run_scenario(doc))
+
+    def test_calls_in_a_row_share_nothing(self, ewa):
+        first, second = self.scenario(ewa), self.scenario(ewa, seed=32)
+        a, b = run_scenario(first), run_scenario(second)
+        assert a[-1].timeline != b[-1].timeline
+        self.assert_each_scale_is_lone(first, a)
+        self.assert_each_scale_is_lone(second, b)
+
+    def test_base_options_unused_when_every_scale_overrides(self, ewa):
+        doc = self.scenario(ewa)
+        doc["sweep"] = [8, 16]
+        doc["options_by_scale"] = {"8": doc["options"],
+                                   "16": {**doc["options"], "skew_seed": 5}}
+        doc["options"] = {"achieved_quality": 2.0}
+        assert [r.run.scale for r in run_scenario(doc)] == [8, 16]
+
+    def test_skew_is_a_fresh_draw_per_participant_count(self, ewa):
+        doc = self.scenario(ewa)
+        for r in run_scenario(doc):
+            p = r.run.scale
+            options = {**doc["options"], **doc["options_by_scale"].get(str(p), {})}
+            rng = random.Random(options["skew_seed"])
+            offsets = [rng.uniform(0.0, options["negotiation_skew"])
+                       for _ in range(p)]
+            latest = max(offsets)
+            assert r.step.negotiation == latest - min(offsets)
+            assert r.step.queuing == sum(latest - o for o in offsets) / p
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name", ["skewed", "overridden"])
+def test_simulate_json_matches_golden(name, capsys):
+    """``simulate --format json`` stdout, recorded before sweeps shared
+    their steps and skew draws."""
+    scenario = GOLDEN / f"simulate_{name}.scenario.json"
+    assert main(["simulate", str(scenario), "--format", "json"]) == 0
+    expected = (GOLDEN / f"simulate_{name}.stdout.json").read_text()
+    assert capsys.readouterr().out == expected

@@ -295,6 +295,74 @@ class TestStore:
         assert [r.run_id for r in result.records] == ["e1"]
 
 
+def _tree(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestAddAll:
+    """``add_all`` holds the store lock once for the whole batch."""
+
+    def runs(self, ic):
+        return [make_run(run_id="e1"), make_run(run_id="e2"),
+                make_run(run_id="i1", workload=ic, scale=16, sps=100.0)]
+
+    def test_one_lock_per_batch(self, tmp_path, ic, monkeypatch):
+        taken = []
+        acquire = ResultsStore._acquire_lock
+        monkeypatch.setattr(ResultsStore, "_acquire_lock",
+                            lambda self: (taken.append(1), acquire(self)))
+        ResultsStore(tmp_path).add_all(self.runs(ic))
+        assert len(taken) == 1
+        assert not (tmp_path / ResultsStore.LOCK_NAME).exists()
+
+    def test_same_files_as_one_add_per_run(self, tmp_path, ic):
+        one_by_one = ResultsStore(tmp_path / "a")
+        for run in self.runs(ic):
+            one_by_one.add(run)
+        ResultsStore(tmp_path / "b").add_all(self.runs(ic))
+        assert _tree(tmp_path / "b") == _tree(tmp_path / "a")
+
+    def test_duplicate_keeps_earlier_runs_and_releases(self, tmp_path, ic):
+        store = ResultsStore(tmp_path)
+        batch = [make_run(run_id="e1"), make_run(run_id="e2"),
+                 make_run(run_id="e1", wall_time=2000.0),
+                 make_run(run_id="e3")]
+        with pytest.raises(DuplicateRun, match="'e1' already stored"):
+            store.add_all(batch)
+        assert sorted(_tree(tmp_path)) == ["extreme_weather/e1.json",
+                                           "extreme_weather/e2.json"]
+        assert store.load("e1").wall_time == 1000.0
+        assert not (tmp_path / ResultsStore.LOCK_NAME).exists()
+        store.add(make_run(run_id="e3"))
+
+    def test_any_error_releases_the_lock(self, tmp_path):
+        def batch():
+            yield make_run(run_id="e1")
+            raise RuntimeError("source failed")
+
+        store = ResultsStore(tmp_path)
+        with pytest.raises(RuntimeError, match="source failed"):
+            store.add_all(batch())
+        with pytest.raises(SchemaError, match="safe path component"):
+            store.add_all([make_run(run_id="e2"), make_run(run_id="../e3")])
+        assert sorted(_tree(tmp_path)) == ["extreme_weather/e1.json",
+                                           "extreme_weather/e2.json"]
+        assert not (tmp_path / ResultsStore.LOCK_NAME).exists()
+
+    def test_lock_held_by_another_writer(self, tmp_path, ic):
+        other = ResultsStore(tmp_path)
+        other._acquire_lock()
+        try:
+            held = (tmp_path / ResultsStore.LOCK_NAME).read_bytes()
+            with pytest.raises(BenchError, match="locked by another writer"):
+                ResultsStore(tmp_path).add_all(self.runs(ic))
+            assert (tmp_path / ResultsStore.LOCK_NAME).read_bytes() == held
+        finally:
+            other._release_lock()
+        assert _tree(tmp_path) == {}
+
+
 class TestIngest:
     def test_empty_directory(self, tmp_path):
         result = ingest(tmp_path)
