@@ -264,6 +264,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    twin_suffix = ".md" if args.format == "json" else ".json"
+    if args.out and Path(args.out).suffix == twin_suffix:
+        raise SchemaError(f"--out {args.out} would be overwritten by the "
+                          f"{twin_suffix} twin; give the {args.format} report "
+                          f"another suffix")
     records = _runs(args, "report")
     agg = rules.aggregate_runs(records)
     reference = _read_declaration(args.reference)
@@ -275,8 +280,7 @@ def _cmd_report(args) -> int:
     text = doc.json() if args.format == "json" else doc.markdown
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
-        twin = Path(args.out).with_suffix(
-            ".json" if args.format != "json" else ".md")
+        twin = Path(args.out).with_suffix(twin_suffix)
         twin.write_text(doc.json() if args.format != "json" else doc.markdown,
                         encoding="utf-8")
         print(f"wrote {args.out} and {twin}")

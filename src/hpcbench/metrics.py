@@ -68,7 +68,8 @@ def vflops(flops: float, achieved: float, target: float, n: int) -> float:
 
 def vflops_per_watt(vflops_value: float, average_power: float) -> float:
     """Energy-efficiency score: valid FLOPS per watt of average power."""
-    if average_power <= 0:
+    _num(vflops_value, "vflops")
+    if _num(average_power, "average power") <= 0:
         raise InvalidPower(f"average power must be positive, got {average_power}")
     return vflops_value / average_power
 
@@ -90,7 +91,8 @@ def throughput_flops(samples_per_sec_per_rank: float, num_ranks: int,
 
 def flops_per_sample_from_profile(total_flops: float, sample_count: int) -> float:
     """Per-sample work from a profiled total over a sampled subset."""
-    if sample_count < 1:
+    _num(total_flops, "total flops")
+    if _int(sample_count, "sample_count") < 1:
         raise EmptySample("sample_count must be >= 1")
     return total_flops / sample_count
 
@@ -129,7 +131,8 @@ def scaling_ratio(comp_per_step: float, comm_per_step: int) -> float:
     (FLOPs) divided by per-step gradient traffic (parameter count),
     expressed in the conventional GFLOPs/Mparams units.
     """
-    if comm_per_step <= 0:
+    _num(comp_per_step, "comp_per_step")
+    if _num(comm_per_step, "comm_per_step") <= 0:
         raise DegenerateComm("comm_per_step must be positive")
     return (comp_per_step / GIGA) / (comm_per_step / MEGA)
 

@@ -456,7 +456,7 @@ def replicability_check(team_a: AggregateResult, team_b: AggregateResult,
     value, so two target qualities of one name differ) or systems raise
     :class:`NotReplicable`.
     """
-    if tolerance < 0:
+    if _num(tolerance, "tolerance") < 0:
         raise SchemaError("tolerance must be non-negative")
     ref_a = team_a.retained_runs[0] if team_a.retained_runs else None
     ref_b = team_b.retained_runs[0] if team_b.retained_runs else None

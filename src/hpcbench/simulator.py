@@ -69,7 +69,6 @@ __all__ = [
     "step_time",
     "SimulationOptions",
     "StepBreakdown",
-    "simulate_step",
     "phase_breakdown",
     "SimulationResult",
     "simulate_training",
@@ -489,15 +488,6 @@ class _Sweep:
                                 step=step)
 
 
-def simulate_step(system: SystemConfig, workload: WorkloadSpec, scale: int,
-                  per_rank_batch: int, precision: PrecisionMode,
-                  topology: TopologySpec, overlap: OverlapModel,
-                  options: SimulationOptions) -> StepBreakdown:
-    """Cost one training step at the given scale."""
-    return _Sweep(system, workload, precision, topology, overlap,
-                  scale)._cost(scale, per_rank_batch, options)
-
-
 def simulate_training(system: SystemConfig, workload: WorkloadSpec,
                       scale: int, global_batchsize: int,
                       precision: PrecisionMode, topology: TopologySpec,
@@ -593,8 +583,14 @@ def run_scenario(scenario, out_dir=None) -> list[SimulationResult]:
         results.append(sim.simulate(scale, per_rank_batch * scale, options))
 
     if out_dir is not None:
+        written: dict[str, int] = {}
         for r in results:
             _check_name(r.run.run_id, "run_id")
+            if r.run.run_id in written:
+                raise SchemaError(
+                    f"scales {written[r.run.run_id]} and {r.run.scale} both "
+                    f"write run_id {r.run.run_id!r} under {out_dir}")
+            written[r.run.run_id] = r.run.scale
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for r in results:

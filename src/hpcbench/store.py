@@ -16,10 +16,20 @@ crash leaves the old record or the new one, never a truncated file.
 Writes take an advisory lock file at the store root that names its
 owner, once per ``add`` or once per ``add_all`` batch; reads need no
 coordination.
+
+Reads work on path strings and ``os`` calls.  Each argument of
+``ingest`` goes through ``Path`` once, so ``./s/`` and ``s//`` are
+spelled ``s`` in diagnostics; a directory is listed by one recursive
+``os.scandir`` walk that sorts each directory's entries by name, which
+is path-component order (``a/x.json`` before ``a-b/x.json``, as
+``sorted(key=Path.parts)`` would put them, though ``-`` sorts before
+``/`` as a string).  Each file is read by ``os.open``, ``os.read`` until
+end of file and ``os.close``.
 """
 
 import fnmatch
 import json
+import operator
 import os
 import platform
 import re
@@ -54,23 +64,66 @@ class IngestResult:
         return not self.diagnostics
 
 
-def _json_files(path: Path, stem_glob: Optional[str] = None) -> list[Path]:
-    """The ``.json`` files under ``path``, skipping any whose path below
-    ``path`` has a hidden component (``.trash/r1.json``, ``.r1.tmp``).
-    Hidden directories are not descended into, nor are symbolic links to
-    directories.  With ``stem_glob``, only the files whose name without
-    ``.json`` matches it are listed."""
-    if not path.is_dir():
-        return [path]
-    found = []
-    for dirpath, dirnames, filenames in os.walk(path):
-        dirnames[:] = [d for d in dirnames if not d.startswith(".")]
-        base = Path(dirpath)
-        found.extend(base / name for name in filenames
-                     if name.endswith(".json") and not name.startswith(".")
-                     and (stem_glob is None
-                          or fnmatch.fnmatch(name[:-5], stem_glob)))
-    return sorted(found, key=lambda p: p.parts)
+_entry_name = operator.attrgetter("name")
+
+#: Bytes asked of each ``os.read``; a stored record is a few KiB.
+_READ_SIZE = 1 << 16
+
+
+def _json_files(path: Path, stem_glob: Optional[str] = None) -> list[str]:
+    """The ``.json`` files under ``path``, in path-component order,
+    skipping any whose path below ``path`` has a hidden component
+    (``.trash/r1.json``, ``.r1.tmp``).  Hidden directories are not
+    descended into, nor are symbolic links to directories; symbolic
+    links to files are listed.  A directory that cannot be listed is
+    skipped, as ``os.walk`` skips it.  With ``stem_glob``, only the files
+    whose name without ``.json`` matches it are listed.  A ``path`` that
+    is not a directory is listed as itself."""
+    top = str(path)
+    if not os.path.isdir(top):
+        return [top]
+    found: list[str] = []
+
+    def walk(prefix: str) -> None:
+        try:
+            with os.scandir(prefix or ".") as it:
+                entries = sorted(it, key=_entry_name)
+        except OSError:
+            return
+        for entry in entries:
+            name = entry.name
+            if name.startswith("."):
+                continue
+            try:
+                is_dir = entry.is_dir()
+            except OSError:
+                is_dir = False
+            if is_dir:
+                if not entry.is_symlink():
+                    walk(prefix + name + os.sep)
+            elif name.endswith(".json") and (
+                    stem_glob is None or fnmatch.fnmatch(name[:-5], stem_glob)):
+                found.append(prefix + name)
+
+    # Path(".") / "y" is spelled "y", not "./y".
+    walk("" if top == "." else os.path.join(top, ""))
+    return found
+
+
+def _read(path) -> bytes:
+    """The bytes of the file at ``path``: one ``os.open``, ``os.read``
+    until end of file, one ``os.close``.  An error names the file, as
+    ``open`` would."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_SIZE):
+            chunks.append(chunk)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        os.close(fd)
+    return chunks[0] if len(chunks) == 1 else b"".join(chunks)
 
 
 # Compiled on first use through the ``re`` cache, not at import.
@@ -118,10 +171,9 @@ def ingest(*paths) -> IngestResult:
     diagnostics: list[Diagnostic] = []
     seen: dict[str, str] = {}
     intern: dict = {}
-    for file in (f for path in paths for f in _json_files(Path(path))):
-        name = str(file)
+    for name in (f for path in paths for f in _json_files(Path(path))):
         try:
-            record = loads(file.read_bytes(), "run", path=name,
+            record = loads(_read(name), "run", path=name,
                            _intern=intern)
         except ParseError as exc:
             diagnostics.append(Diagnostic(name, str(exc), "parse"))
@@ -249,7 +301,7 @@ class ResultsStore:
         idx: dict[str, Path] = {}
         for file in _json_files(self.root):
             try:
-                run_id = _parse_json(file.read_bytes())["run_id"]
+                run_id = _parse_json(_read(file))["run_id"]
             except (ParseError, KeyError, TypeError):
                 continue
             if not isinstance(run_id, str):
@@ -258,7 +310,7 @@ class ResultsStore:
                 raise DuplicateRun(
                     f"run_id {run_id!r} appears in both {idx[run_id]} "
                     f"and {file}")
-            idx[run_id] = file
+            idx[run_id] = Path(file)
         return idx
 
     INDEX_NAME = ".index.json"
@@ -283,7 +335,7 @@ class ResultsStore:
         if len(found) > 1:
             raise DuplicateRun(f"run_id {run_id!r} appears in both "
                                f"{found[0]} and {found[1]}")
-        record = loads(found[0].read_bytes(), "run", path=str(found[0]))
+        record = loads(_read(found[0]), "run", path=str(found[0]))
         if record.run_id != run_id:
             raise SchemaError(f"{found[0]} holds run_id {record.run_id!r}, "
                               f"not {run_id!r}")

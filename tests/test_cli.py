@@ -1,6 +1,7 @@
 import json
 import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from hpcbench.cli import _audit, _build_parser, main
 from hpcbench.core import BenchLevel, NineLayerDeclaration, dumps
 from hpcbench.presets import case_study_system, ewa_workload
 from hpcbench.rules import Severity
+from hpcbench.store import ResultsStore
 
 
 def run_cli(capsys, *argv):
@@ -85,6 +87,22 @@ class TestPipeline:
         doc = json.loads(twin.read_text())
         assert doc["rule_audit"]["clean"]
         assert "## 3. Scores" in out_file.read_text()
+
+
+    @pytest.mark.parametrize("fmt, name", [("md", "report.json"),
+                                           ("json", "report.md")])
+    def test_report_out_named_as_its_twin_is_refused(
+            self, ranking_store, tmp_path, capsys, fmt, name):
+        code, out, err = run_cli(
+            capsys, "report", "--store", str(ranking_store["root"]),
+            "--select", "ic-mixed-64-*", "--format", fmt,
+            "--reference", str(ranking_store["reference"]),
+            "--out", str(tmp_path / name))
+        assert (code, out) == (3, "")
+        assert err.endswith("would be overwritten by the "
+                            f"{Path(name).suffix} twin; give the {fmt} "
+                            "report another suffix\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestJsonContract:
@@ -324,6 +342,64 @@ class TestSelection:
         assert messages == [
             "training must be synchronous SGD, declared True",
             "training must be synchronous SGD, declared 1"]
+
+
+class TestPathSpelling:
+    """Diagnostics and errors spell each path as ``Path`` does: ``./s/``
+    and ``s//`` read as ``s``."""
+
+    DIAGNOSTICS = (
+        "schema: s/image_classification/bad.json: Expecting property name "
+        "enclosed in double quotes in s/image_classification/bad.json at "
+        "line 1, column 2\n"
+        "schema: s/image_classification/ic-fp32-16-r00.json: duplicate "
+        "run_id 'ic-fp32-16-r00' (first seen in s/copy/dup.json)\n")
+
+    @pytest.fixture(autouse=True)
+    def cwd(self, ranking_runs, tmp_path, monkeypatch):
+        """``s`` holds three runs, a parse error and, in ``s/copy``, a
+        second copy of the first run, which is read first."""
+        runs, _ = ranking_runs
+        ResultsStore(tmp_path / "s").add_all(runs[:3])
+        (tmp_path / "s" / "image_classification" / "bad.json").write_text(
+            "{nope")
+        (tmp_path / "s" / "copy").mkdir()
+        (tmp_path / "s" / "copy" / "dup.json").write_text(dumps(runs[0]))
+        monkeypatch.chdir(tmp_path)
+
+    @pytest.mark.parametrize("argv", [
+        ["./s/"], ["s//"], ["s"], ["--store", "./s/"], ["--store", "s//"]])
+    def test_store_diagnostics(self, capsys, argv):
+        code, out, err = run_cli(capsys, "score", *argv)
+        assert (code, err) == (3, self.DIAGNOSTICS)
+        assert [line.split()[0] for line in out.splitlines()] == [
+            "run_id", "ic-fp32-16-r00", "ic-fp32-16-r01", "ic-fp32-16-r02"]
+        assert run_cli(capsys, "score", "s")[1] == out
+        assert run_cli(capsys, "rank", *argv) == (
+            3, "", self.DIAGNOSTICS
+            + "error: 2 input document(s) rejected; refusing to rank\n")
+
+    @pytest.mark.parametrize("arg", ["./s//copy/dup.json", "s/copy/dup.json"])
+    def test_single_file(self, capsys, arg):
+        assert run_cli(capsys, "score", "--format", "csv", arg) == (
+            0, "run_id,flops,vflops,vflops_per_watt,time_to_quality,penalty\n"
+               "ic-fp32-16-r00,1.0556e+14,1.0556e+14,1.885e+10,25100.4,1\n",
+            "")
+        code, _, err = run_cli(capsys, "score", "./s//image_classification/"
+                                               "bad.json")
+        assert (code, err) == (3, self.DIAGNOSTICS.splitlines(True)[0])
+
+    @pytest.mark.parametrize("arg", ["x.json", "./x.json"])
+    def test_missing_file_is_internal_error(self, capsys, arg):
+        assert run_cli(capsys, "score", arg) == (
+            1, "", "error: [Errno 2] No such file or directory: 'x.json'\n")
+
+    def test_select_glob_picks_file_names(self, capsys):
+        code, out, err = run_cli(capsys, "score", "--format", "csv",
+                                 "--store", "s", "--select", "ic-*-r0[13]")
+        assert (code, err) == (0, "")
+        assert [line.split(",")[0] for line in out.splitlines()] == [
+            "run_id", "ic-fp32-16-r01"]
 
 
 class TestRooflineCommand:

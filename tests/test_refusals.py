@@ -23,10 +23,13 @@ from hpcbench.errors import (
     SchemaError,
 )
 from hpcbench.metrics import (
+    flops_per_sample_from_profile,
     parallel_efficiency,
     penalty_coefficient,
+    scaling_ratio,
     throughput_flops,
     vflops,
+    vflops_per_watt,
 )
 from hpcbench.presets import (
     case_study_system,
@@ -85,6 +88,12 @@ def _two_definitions():
     runs, _ = build_ranking_runs()
     return [replace(r, workload=loose) if i % 2 else r
             for i, r in enumerate(runs[:10])]
+
+
+def _replicate_at_nan_tolerance(tmp_path):
+    runs, _ = build_ranking_runs()
+    agg = aggregate_runs(runs[:10])
+    replicability_check(agg, agg, math.nan)
 
 
 def _replicate_at_two_targets(tmp_path):
@@ -156,6 +165,16 @@ def _replicate_at_two_targets(tmp_path):
      "ceiling name 'peak' is reserved for the theoretical peak"),
     (lambda _: SimulationOptions(achieved_quality=0.5, skew_seed=[1]),
      SchemaError, r"skew_seed must be an integer >= 0, got \[1\]"),
+    (lambda _: vflops_per_watt(1e14, math.nan), SchemaError,
+     "average power must be finite, got nan"),
+    (lambda _: vflops_per_watt(math.nan, 300.0), SchemaError,
+     "vflops must be finite, got nan"),
+    (lambda _: scaling_ratio(math.nan, 1), SchemaError,
+     "comp_per_step must be finite, got nan"),
+    (lambda _: flops_per_sample_from_profile(math.nan, 1), SchemaError,
+     "total flops must be finite, got nan"),
+    (_replicate_at_nan_tolerance, SchemaError,
+     "tolerance must be finite, got nan"),
 ], ids=["schedule-warmup", "lr_schedule-nan", "compress-nan",
         "compress-string", "precision-shift-nan", "store-load-not-utf8",
         "scenario-not-utf8", "aggregate-two-configurations", "schedule-at-nan",
@@ -166,7 +185,8 @@ def _replicate_at_two_targets(tmp_path):
         "step-time-nan", "allreduce-traffic-nan", "throughput-nan-ranks",
         "efficiency-nan-scale", "efficiency-zero-baseline-scale",
         "allreduce-traffic-nan-participants", "ceiling-named-peak",
-        "skew-seed-list"])
+        "skew-seed-list", "per-watt-nan-power", "per-watt-nan-vflops",
+        "scaling-ratio-nan", "profile-nan", "replicability-nan-tolerance"])
 def test_the_owner_refuses_bad_input(tmp_path, call, error, match):
     with pytest.raises(error, match=match):
         call(tmp_path)

@@ -357,6 +357,21 @@ class TestScenario:
             run_scenario(doc, out_dir=out)
         assert list(tmp_path.rglob("*")) == []
 
+    @pytest.mark.parametrize("sweep, run_id, match", [
+        ([8, 16, 32], "mine", "scales 8 and 16 both write run_id 'mine'"),
+        ([8, 8], None, "scales 8 and 8 both write run_id "
+                       "'sim-extreme_weather-8x-fp32-b8-s0'"),
+    ], ids=["fixed-run-id", "repeated-scale"])
+    def test_shared_run_id_writes_nothing(self, tmp_path, ewa, sweep, run_id,
+                                          match):
+        doc = self.scenario_doc(tmp_path, ewa)
+        doc["sweep"] = sweep
+        if run_id:
+            doc["options"]["run_id"] = run_id
+        with pytest.raises(SchemaError, match=match):
+            run_scenario(doc, out_dir=tmp_path / "out")
+        assert list(tmp_path.rglob("*")) == []
+
     @pytest.mark.parametrize("key, value, name", [
         ("per_rank_batch", "abc", "per_rank_batch"),
         ("per_rank_batch", True, "per_rank_batch"),

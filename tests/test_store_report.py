@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -361,6 +362,66 @@ class TestAddAll:
         finally:
             other._release_lock()
         assert _tree(tmp_path) == {}
+
+
+class TestListing:
+    """Which files ``ingest`` reads under a directory, and in what order."""
+
+    @staticmethod
+    def write(root: Path, *names: str) -> None:
+        """A record at each relative path, its run id the path with ``/``
+        spelled ``~``."""
+        for name in names:
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_text(dumps(make_run(name.replace("/", "~"))))
+
+    def test_order_is_path_component_order(self, tmp_path):
+        names = ["a-b/x.json", "a/x.json", "a.b/x.json", "a.json", "a/y.json",
+                 "a/z/x.json", "a-b.json", "b.json", "ab/x.json",
+                 "d.json/x.json"]
+        self.write(tmp_path, *names)
+        by_parts = sorted((p for p in tmp_path.rglob("*.json") if p.is_file()),
+                          key=lambda p: p.parts)
+        read = [r.run_id for r in ingest(tmp_path).records]
+        assert read == [str(p.relative_to(tmp_path)).replace(os.sep, "~")
+                        for p in by_parts]
+        assert read == [
+            "a~x.json", "a~y.json", "a~z~x.json", "a-b~x.json", "a-b.json",
+            "a.b~x.json", "a.json", "ab~x.json", "b.json", "d.json~x.json"]
+
+    def test_hidden_files_and_directories_are_skipped(self, tmp_path):
+        self.write(tmp_path, "w/r.json", ".r.json", "w/.r.json", ".h/r.json",
+                   "w/.h/r.json", "w/.h/d/r.json")
+        result = ingest(tmp_path)
+        assert result.clean
+        assert [r.run_id for r in result.records] == ["w~r.json"]
+
+    def test_symlinks(self, tmp_path):
+        outside, root = tmp_path / "outside", tmp_path / "store"
+        self.write(outside, "o.json", "d/x.json")
+        self.write(root, "w/r.json")
+        (root / "w" / "o.json").symlink_to(outside / "o.json")
+        (root / "linked").symlink_to(outside / "d", target_is_directory=True)
+        result = ingest(root)
+        assert result.clean
+        assert [r.run_id for r in result.records] == ["o.json", "w~r.json"]
+
+    @pytest.mark.parametrize("arg", [".", "./", Path(".")])
+    def test_the_current_directory_is_not_spelled(self, tmp_path, monkeypatch,
+                                                  arg):
+        (tmp_path / "w").mkdir()
+        (tmp_path / "w" / "bad.json").write_text("{nope")
+        monkeypatch.chdir(tmp_path)
+        (diag,) = ingest(arg).diagnostics
+        assert diag.path == os.path.join("w", "bad.json")
+
+    def test_load_of_a_directory_names_it(self, tmp_path):
+        store = ResultsStore(tmp_path)
+        (tmp_path / "w" / "r1.json").mkdir(parents=True)
+        target = re.escape(str(tmp_path / "w" / "r1.json"))
+        with pytest.raises(IsADirectoryError,
+                           match=f"Is a directory: '{target}'"):
+            store.load("r1")
 
 
 class TestIngest:
