@@ -5,11 +5,10 @@ declared per configuration, never invented), stores the run records,
 then drives the same steps the command line exposes.
 """
 
-import json
 from pathlib import Path
 
 from hpcbench.cli import main as hpcbench
-from hpcbench.core import BenchLevel, PrecisionMode
+from hpcbench.core import BenchLevel, PrecisionMode, dumps
 from hpcbench.presets import (
     COMPUTE_EFFICIENCY,
     case_study_system,
@@ -64,7 +63,7 @@ for precision, scale, quality in CONFIGS:
 print(f"stored {len(store.index())} simulated runs under {STORE}")
 
 reference_path = OUT / "reference.json"
-reference_path.write_text(json.dumps(reference.to_dict(), indent=2))
+reference_path.write_text(dumps(reference))
 
 # -- the same steps the CLI exposes -------------------------------------------
 steps = [

@@ -19,7 +19,6 @@ import argparse
 import csv
 import fnmatch
 import functools
-import json
 import marshal
 import sys
 from pathlib import Path
@@ -30,6 +29,7 @@ from .core import (
     NineLayerDeclaration,
     PrecisionMode,
     RunRecord,
+    _json_text,
     _parse_json,
     loads,
 )
@@ -67,12 +67,9 @@ def _load_runs(args) -> tuple[list[RunRecord], tuple]:
     --store a --select glob picks files by name before any is read;
     positional paths are read whole.  Either way the glob is matched
     against each parsed run id."""
-    paths = list(args.runs)
     store = Path(args.store, args.workload or "") if args.store else None
-    if store and store.exists():
-        paths[:0] = (_json_files(store, args.select) if args.select
-                     else [store])
-    result = ingest(*paths)
+    listed = _json_files(store, args.select) if store and store.exists() else ()
+    result = ingest(*args.runs, _listed=listed)
     for d in result.diagnostics:
         print(f"schema: {d.path}: {d.error}", file=sys.stderr)
     records = [r for r in result.records
@@ -101,7 +98,7 @@ def _emit_table(fmt: str, docs: list, columns) -> None:
     csv rows; a column is (header, key, format spec), None prints blank.
     md cells are measured as stdout prints them (see ``main``)."""
     if fmt == "json":
-        print(json.dumps(docs, indent=2))
+        print(_json_text(docs))
         return
     headers = [header for header, _, _ in columns]
     rows = [["" if doc[key] is None else format(doc[key], spec)
@@ -160,7 +157,7 @@ def _cmd_validate(args) -> int:
                 print(f"  layer {v.layer} [{v.severity.value}] {v.key}: "
                       f"{v.message}")
     if args.format == "json":
-        print(json.dumps(out, indent=2))
+        print(_json_text(out))
     if diagnostics:
         return EXIT_SCHEMA
     return EXIT_VIOLATIONS if any_error else EXIT_OK
@@ -192,7 +189,7 @@ def _cmd_aggregate(args) -> int:
         "variation_wall_time": agg.wall_time_variation,
     }
     if args.format == "json":
-        print(json.dumps(doc, indent=2))
+        print(_json_text(doc))
     else:
         print(f"workload: {doc['workload']} ({len(records)} trials, "
               f"dropped {', '.join(doc['dropped']) or 'none'})")

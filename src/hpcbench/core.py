@@ -3,7 +3,9 @@
 Defines the hardware description (accelerator, node, system), the
 benchmark workload definition, the nine-layer system declaration, and
 the per-trial run record, together with strict JSON (de)serialization
-and the derived hardware peak rates.
+and the derived hardware peak rates.  One encoder, :func:`_json_text`,
+writes every JSON document the package emits, with the same bytes as
+``json.dumps(value, indent=2)``.
 
 All types are immutable after construction and safe to share across
 threads.  Construction validates invariants and raises
@@ -20,6 +22,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import cache
 import json
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 import marshal
 import math
 import re
@@ -145,9 +148,11 @@ def _encode(value: Any) -> Any:
     if isinstance(value, Enum):
         return value.value
     if _is_mapping(value):
-        return {_encode(k): _encode(v) for k, v in value.items()}
+        return {k if type(k) in _SCALARS else _encode(k):
+                v if type(v) in _SCALARS else _encode(v)
+                for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
+        return [v if type(v) in _SCALARS else _encode(v) for v in value]
     return value
 
 
@@ -162,8 +167,8 @@ class JsonCodec:
     """
 
     def to_dict(self) -> dict:
-        return {name: _encode(getattr(self, name))
-                for name in _field_order(type(self))}
+        return {name: value if type(value := getattr(self, name)) in _SCALARS
+                else _encode(value) for name in _field_order(type(self))}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any], *,
@@ -540,6 +545,91 @@ def loads(text, kind: str, path=None, *, _intern: Optional[dict] = None):
     return cls.from_dict(data, _intern=_intern)
 
 
-def dumps(obj, indent: int = 2) -> str:
+def dumps(obj) -> str:
     """Serialize a domain object to JSON (inverse of :func:`loads`)."""
-    return json.dumps(obj.to_dict(), indent=indent, sort_keys=False)
+    return _json_text(obj.to_dict())
+
+
+# -- the JSON writer ----------------------------------------------------
+
+@cache
+def _flat_encoder(depth: int):
+    """The C encoder of ``json`` writing a container's items ``depth``
+    levels in, two spaces a level.  Given a container that holds no
+    non-empty container, it writes everything between the brackets as
+    ``json.dumps(indent=2)`` does; a value ``json`` cannot write goes to
+    the stdlib ``default``, which raises its ``TypeError``."""
+    return c_make_encoder(None, JSONEncoder().default, encode_basestring_ascii,
+                          None, ": ", ",\n" + "  " * depth, False, False, True)
+
+
+_FLAT_TYPES = _SCALARS | {list, tuple, dict}
+
+
+def _flat(values) -> bool:
+    """Whether every one of ``values`` has an exact scalar type or is an
+    empty list, tuple or dict (of exact type), as :func:`_flat_encoder`
+    needs.  Once every type is known, truth is safe to test: an empty
+    container is falsy, and every truthy value must be a scalar."""
+    return (_FLAT_TYPES.issuperset(map(type, values))
+            and _SCALARS.issuperset(map(type, filter(None, values))))
+
+
+def _json_text(value) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, refusals included.
+
+    With ``indent``, ``json`` on Python 3.11 writes through its
+    pure-Python encoder.  Here a container whose keys and values pass
+    :func:`_flat` is written by one call of the C encoder, and only
+    containers holding other containers (or subclass instances) are
+    walked in Python, the way the pure-Python encoder walks them."""
+    return _text(value, 1, {})
+
+
+def _text(value, depth: int, markers: dict) -> str:
+    """``value`` written with its items ``depth`` levels in; ``markers``
+    holds the containers being walked, to refuse a cycle."""
+    kind = type(value)
+    if kind is dict:
+        flat = _flat(value.values()) and _SCALARS.issuperset(map(type, value))
+    elif kind is list or kind is tuple:
+        flat = _flat(value)
+    elif isinstance(value, (list, tuple, dict)):
+        flat = False
+    else:
+        return "".join(_flat_encoder(depth)(value, 0))
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    encode = _flat_encoder(depth)
+    newline = "\n" + "  " * depth
+    if flat:
+        text = "".join(encode(value, 0))
+        return text[0] + newline + text[1:-1] + newline[:-2] + text[-1]
+    if id(value) in markers:
+        raise ValueError("Circular reference detected")
+    markers[id(value)] = value
+    # a scalar item is written here, saving a call of _text
+    if isinstance(value, dict):
+        items = [_key_text(k) + ": " + ("".join(encode(v, 0))
+                                        if type(v) in _SCALARS
+                                        else _text(v, depth + 1, markers))
+                 for k, v in value.items()]
+        brackets = "{}"
+    else:
+        items = ["".join(encode(v, 0)) if type(v) in _SCALARS
+                 else _text(v, depth + 1, markers) for v in value]
+        brackets = "[]"
+    del markers[id(value)]
+    return (brackets[0] + newline + ("," + newline).join(items)
+            + newline[:-2] + brackets[1])
+
+
+def _key_text(key) -> str:
+    """An object key as ``json.dumps`` writes it: a number, ``true``,
+    ``false`` or ``null`` key becomes a string of its JSON text."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, (int, float)) or key is None:
+        return '"' + "".join(_flat_encoder(1)(key, 0)) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")

@@ -117,8 +117,9 @@ def check_profiled_flops_per_sample(total_flops: float, sample_count: int,
     which one is intended.
     """
     computed = flops_per_sample_from_profile(total_flops, sample_count)
-    if declared <= 0:
+    if _num(declared, "declared flops per sample") <= 0:
         raise EmptySample("declared flops per sample must be positive")
+    _num(tolerance, "tolerance")
     rel = abs(computed - declared) / declared
     return ProfileCheck(computed=computed, declared=declared,
                         consistent=rel <= tolerance, relative_error=rel)

@@ -10,7 +10,6 @@ fabricated, and missing power is marked "not measured" rather than
 guessed.
 """
 
-import json
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -19,6 +18,7 @@ from .core import (
     NineLayerDeclaration,
     RunRecord,
     SystemConfig,
+    _json_text,
 )
 from .errors import IncomparableWorkloads, IncompleteReport
 from .metrics import Score, score_run
@@ -97,7 +97,7 @@ class ReportDocument:
     data: dict
 
     def json(self) -> str:
-        return json.dumps(self.data, indent=2)
+        return _json_text(self.data)
 
 
 def _system_section(system: SystemConfig,

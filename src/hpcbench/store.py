@@ -28,7 +28,6 @@ end of file and ``os.close``.
 """
 
 import fnmatch
-import json
 import operator
 import os
 import platform
@@ -36,10 +35,11 @@ import re
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .core import JsonCodec, RunRecord, _parse_json, loads
+from .core import JsonCodec, RunRecord, _json_text, _parse_json, loads
 from .errors import BenchError, DuplicateRun, ParseError, SchemaError
 
 __all__ = ["Diagnostic", "IngestResult", "ingest", "ResultsStore"]
@@ -155,7 +155,7 @@ def _write_atomic(target: Path, text: str) -> None:
         raise
 
 
-def ingest(*paths) -> IngestResult:
+def ingest(*paths, _listed: Iterable[str] = ()) -> IngestResult:
     """Parse run records from files or directory trees.
 
     Every document is parsed, with unknown fields rejected, and
@@ -166,12 +166,16 @@ def ingest(*paths) -> IngestResult:
     Identical ``system`` or ``workload`` sub-documents share one (frozen)
     object, built and validated once per call.  Each file is read once,
     as bytes; one that is not strict UTF-8 is a ``parse`` diagnostic.
+
+    ``_listed`` is private to the CLI: file names a :func:`_json_files`
+    call already listed, read as given and before ``paths``.
     """
     records: list[RunRecord] = []
     diagnostics: list[Diagnostic] = []
     seen: dict[str, str] = {}
     intern: dict = {}
-    for name in (f for path in paths for f in _json_files(Path(path))):
+    for name in chain(_listed, (f for path in paths
+                                for f in _json_files(Path(path)))):
         try:
             record = loads(_read(name), "run", path=name,
                            _intern=intern)
@@ -285,7 +289,7 @@ class ResultsStore:
                             skip=run.workload.name if overwrite else None):
                 raise DuplicateRun(f"run_id {run.run_id!r} already stored")
             target.parent.mkdir(parents=True, exist_ok=True)
-            _write_atomic(target, json.dumps(run.to_dict(), indent=2) + "\n")
+            _write_atomic(target, _json_text(run.to_dict()) + "\n")
         return target
 
     def add_all(self, runs: Iterable[RunRecord]) -> None:
@@ -321,7 +325,7 @@ class ResultsStore:
         idx = {run_id: str(path.relative_to(self.root))
                for run_id, path in sorted(self.index().items())}
         target = self.root / self.INDEX_NAME
-        _write_atomic(target, json.dumps(idx, indent=2) + "\n")
+        _write_atomic(target, _json_text(idx) + "\n")
         return target
 
     def load(self, run_id: str) -> RunRecord:

@@ -7,6 +7,7 @@ import pytest
 
 from hpcbench import rules
 from hpcbench import cli
+from hpcbench import store as store_mod
 from hpcbench.cli import _audit, _build_parser, main
 from hpcbench.core import BenchLevel, NineLayerDeclaration, dumps
 from hpcbench.presets import case_study_system, ewa_workload
@@ -311,6 +312,22 @@ class TestSelection:
                                  "--select", "ic-mixed-64-*")
         assert (code, out) == (3, "")
         assert "zz-bad.json" in err
+
+    def test_selected_files_are_listed_once(self, store, capsys,
+                                            monkeypatch):
+        listed = []
+        json_files = store_mod._json_files
+
+        def counted(path, stem_glob=None):
+            listed.append(str(path))
+            return json_files(path, stem_glob)
+
+        monkeypatch.setattr(store_mod, "_json_files", counted)
+        monkeypatch.setattr(cli, "_json_files", counted)
+        code, out, _ = run_cli(capsys, "aggregate", "--store", str(store),
+                               "--select", "ic-mixed-64-*", "--format", "json")
+        assert (code, json.loads(out)["runs"]) == (0, 10)
+        assert listed == [str(store)]
 
     def test_audit_matches_one_call_per_run(self, ranking_store,
                                             monkeypatch):

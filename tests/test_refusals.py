@@ -23,6 +23,7 @@ from hpcbench.errors import (
     SchemaError,
 )
 from hpcbench.metrics import (
+    check_profiled_flops_per_sample,
     flops_per_sample_from_profile,
     parallel_efficiency,
     penalty_coefficient,
@@ -175,6 +176,10 @@ def _replicate_at_two_targets(tmp_path):
      "total flops must be finite, got nan"),
     (_replicate_at_nan_tolerance, SchemaError,
      "tolerance must be finite, got nan"),
+    (lambda _: check_profiled_flops_per_sample(1e12, 4, math.nan), SchemaError,
+     "declared flops per sample must be finite, got nan"),
+    (lambda _: check_profiled_flops_per_sample(1e12, 4, 2.5e11, math.nan),
+     SchemaError, "^tolerance must be finite, got nan$"),
 ], ids=["schedule-warmup", "lr_schedule-nan", "compress-nan",
         "compress-string", "precision-shift-nan", "store-load-not-utf8",
         "scenario-not-utf8", "aggregate-two-configurations", "schedule-at-nan",
@@ -186,7 +191,8 @@ def _replicate_at_two_targets(tmp_path):
         "efficiency-nan-scale", "efficiency-zero-baseline-scale",
         "allreduce-traffic-nan-participants", "ceiling-named-peak",
         "skew-seed-list", "per-watt-nan-power", "per-watt-nan-vflops",
-        "scaling-ratio-nan", "profile-nan", "replicability-nan-tolerance"])
+        "scaling-ratio-nan", "profile-nan", "replicability-nan-tolerance",
+        "profile-check-nan-declared", "profile-check-nan-tolerance"])
 def test_the_owner_refuses_bad_input(tmp_path, call, error, match):
     with pytest.raises(error, match=match):
         call(tmp_path)
