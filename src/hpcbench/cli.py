@@ -19,7 +19,6 @@ import argparse
 import csv
 import fnmatch
 import functools
-import marshal
 import sys
 from pathlib import Path
 
@@ -116,25 +115,6 @@ def _emit_table(fmt: str, docs: list, columns) -> None:
             print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
 
 
-def _audit(records: list[RunRecord],
-           reference: NineLayerDeclaration) -> list[list]:
-    """``rules.validate_declaration`` of each run, in record order.  The
-    audit depends only on the run's declaration and level, so it runs
-    once per distinct pair and runs that share one share its result.
-    The layers are keyed by ``marshal.dumps(layers, 2)``, not by ``==``:
-    ``True == 1``, but a violation message quotes the declared value,
-    and those bytes keep each value's type, as ``repr`` would, at a
-    fraction of its cost.  The bytes are only compared, never loaded."""
-    audits: dict = {}
-    out = []
-    for run in records:
-        key = (marshal.dumps(run.declaration.layers, 2), run.level)
-        if key not in audits:
-            audits[key] = rules.validate_declaration(run, reference)
-        out.append(audits[key])
-    return out
-
-
 def _read_declaration(path: str) -> NineLayerDeclaration:
     return loads(Path(path).read_bytes(), "declaration", path=path)
 
@@ -144,7 +124,7 @@ def _cmd_validate(args) -> int:
     reference = _read_declaration(args.reference)
     any_error = False
     out = []
-    for run, violations in zip(records, _audit(records, reference)):
+    for run, violations in zip(records, rules.audit(records, reference)):
         errors = [v for v in violations if v.severity is rules.Severity.ERROR]
         any_error |= bool(errors)
         out.append({"run_id": run.run_id,
@@ -202,12 +182,8 @@ def _cmd_aggregate(args) -> int:
 
 def _cmd_rank(args) -> int:
     records = _runs(args, "rank")
-    violations = None
-    if args.reference:
-        reference = _read_declaration(args.reference)
-        violations = {r.run_id: found for r, found
-                      in zip(records, _audit(records, reference))}
-    rows = report_mod.rank(records, violations=violations)
+    reference = _read_declaration(args.reference) if args.reference else None
+    rows = report_mod.rank(records, reference)
     _emit_table(args.format, [r.to_dict() for r in rows], [
         ("rank", "rank", ""), ("run_id", "run_id", ""), ("system", "label", ""),
         ("scale", "scale", ""), ("precision", "precision", "")] + [
@@ -268,12 +244,7 @@ def _cmd_report(args) -> int:
                           f"another suffix")
     records = _runs(args, "report")
     agg = rules.aggregate_runs(records)
-    reference = _read_declaration(args.reference)
-    violations = [v for found in _audit(records, reference) for v in found]
-    scores = {r.run_id: score_run(r) for r in records}
-    doc = report_mod.emit_report(
-        aggregate=agg, violations=violations, scores=scores,
-        declaration=records[0].declaration)
+    doc = report_mod.emit_report(agg, _read_declaration(args.reference))
     text = doc.json() if args.format == "json" else doc.markdown
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -283,9 +254,7 @@ def _cmd_report(args) -> int:
         print(f"wrote {args.out} and {twin}")
     else:
         print(text)
-    if any(v.severity is rules.Severity.ERROR for v in violations):
-        return EXIT_VIOLATIONS
-    return EXIT_OK
+    return EXIT_OK if doc.data["rule_audit"]["clean"] else EXIT_VIOLATIONS
 
 
 def _record_command(sub, name: str, func, help: str,

@@ -54,7 +54,7 @@ def penalty_coefficient(achieved: float, target: float, n: int) -> float:
         raise DegenerateTarget("target quality must be positive")
     if achieved < 0:
         raise DegenerateTarget(f"achieved quality must be >= 0, got {achieved}")
-    if not (isinstance(n, int) and n >= 1):
+    if isinstance(n, bool) or not (isinstance(n, int) and n >= 1):
         raise DegenerateTarget(f"quality exponent must be an integer >= 1, got {n}")
     return (achieved / target) ** n
 

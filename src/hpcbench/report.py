@@ -4,14 +4,16 @@ Rankings order runs by VFLOPS descending with time-to-quality as the
 auxiliary tie-break; rule-violating runs stay in the table but are
 flagged ineligible so audits remain possible.  Reports carry three
 mandatory parts: the system under test, the benchmark configuration,
-and the scores with raw per-trial data.  Every number in a report
-traces to an input record or a metrics computation; nothing is
-fabricated, and missing power is marked "not measured" rather than
-guessed.
+and the scores with raw per-trial data.  ``rank`` and ``emit_report``
+take the runs and a reference declaration and score
+(``metrics.score_run``) and audit (``rules.audit``) each run
+themselves, so every number traces to an input record.  A report
+follows run-id order, so its bytes do not depend on input order.
+Nothing is fabricated; missing power is marked "not measured".
 """
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import (
     JsonCodec,
@@ -19,10 +21,11 @@ from .core import (
     RunRecord,
     SystemConfig,
     _json_text,
+    _num,
 )
-from .errors import IncomparableWorkloads, IncompleteReport
+from .errors import IncomparableWorkloads, IncompleteReport, SchemaError
 from .metrics import Score, score_run
-from .rules import AggregateResult, Violation, _workload_label
+from .rules import AggregateResult, _workload_label, audit
 from .units import fmt_bytes_per_s, fmt_flops, fmt_seconds
 
 __all__ = ["RankingRow", "rank", "vflops_ratio", "ReportDocument", "emit_report"]
@@ -46,16 +49,17 @@ class RankingRow(JsonCodec):
 
 
 def rank(runs: Sequence[RunRecord],
-         violations: Optional[Mapping[str, Sequence[Violation]]] = None
+         reference: Optional[NineLayerDeclaration] = None
          ) -> list[RankingRow]:
     """Rank runs of one workload definition by VFLOPS.
 
     Rows sort by VFLOPS descending, then time-to-quality ascending, then
     run_id; the order is total and deterministic under input
-    permutation.  ``violations`` maps run ids to their rule audit; runs
-    with ERROR violations keep their position but are flagged
-    ineligible.  Runs whose workloads differ in any field, the target
-    quality included, raise :class:`IncomparableWorkloads`.
+    permutation.  Given a ``reference``, each run is audited against it
+    (``rules.audit``) and runs with ERROR violations keep their position
+    but are flagged ineligible; without one nothing is audited.  Runs
+    whose workloads differ in any field, the target quality included,
+    raise :class:`IncomparableWorkloads`.
     """
     first = runs[0].workload if runs else None
     # ingested runs share one workload object: ``is`` spares the ``==``
@@ -63,15 +67,15 @@ def rank(runs: Sequence[RunRecord],
         labels = map(_workload_label, dict.fromkeys(r.workload for r in runs))
         raise IncomparableWorkloads(
             "cannot rank across workloads: " + ", ".join(labels))
-    violations = violations or {}
+    audits = (audit(runs, reference) if reference is not None
+              else [[]] * len(runs))
 
-    scored: list[tuple[RunRecord, Score]] = [(r, score_run(r)) for r in runs]
-    scored.sort(key=lambda rs: (-rs[1].vflops, rs[1].time_to_quality,
-                                rs[0].run_id))
+    scored = sorted(zip(runs, map(score_run, runs), audits),
+                    key=lambda rsa: (-rsa[1].vflops, rsa[1].time_to_quality,
+                                     rsa[0].run_id))
     rows = []
-    for position, (run, score) in enumerate(scored, start=1):
-        errors = [v for v in violations.get(run.run_id, ())
-                  if v.severity.value == "error"]
+    for position, (run, score, violations) in enumerate(scored, start=1):
+        errors = [v for v in violations if v.severity.value == "error"]
         status = "CLEAN" if not errors else f"VIOLATIONS({len(errors)})"
         label = (f"{run.system.node.accelerator.name} "
                  f"x{run.scale} {run.precision.value}")
@@ -86,6 +90,9 @@ def rank(runs: Sequence[RunRecord],
 
 def vflops_ratio(optimized: Score, baseline: Score) -> float:
     """Score ratio of an optimization study pair."""
+    if _num(baseline.vflops, "baseline vflops") <= 0:
+        raise SchemaError(
+            f"baseline vflops must be positive, got {baseline.vflops}")
     return optimized.vflops / baseline.vflops
 
 
@@ -152,35 +159,29 @@ def _md_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
 
 
 def emit_report(aggregate: AggregateResult,
-                violations: Sequence[Violation],
-                scores: Mapping[str, Score],
-                declaration: NineLayerDeclaration,
+                reference: NineLayerDeclaration,
                 ratio_studies: Optional[Sequence[tuple]] = None
                 ) -> ReportDocument:
     """Assemble the full benchmarking report of one aggregate.
 
     Mandatory sections: system under test (six descriptive groups),
     benchmark configuration (all hyper-parameters plus the communication
-    stack), and scores for all runs with the raw trial data.  Workload
-    and system are the retained runs', which share one configuration.
-    Missing sections raise :class:`IncompleteReport` naming them.
-    ``ratio_studies`` optionally adds an optimization-study table of
-    (label, baseline Score, optimized Score) triples.
+    stack), and scores for all runs with the raw trial data.  The runs,
+    retained and dropped, are taken in run-id order: each is scored and
+    audited against ``reference``, and the system, workload and
+    declaration are the lowest run id's.  An aggregate without runs
+    raises :class:`IncompleteReport`.  ``ratio_studies`` optionally adds
+    an optimization-study table of (label, baseline Score, optimized
+    Score) triples.
     """
-    missing = [name for name, val in (
-        ("aggregate", aggregate), ("violations", violations),
-        ("scores", scores), ("declaration", declaration)) if val is None]
-    if aggregate is not None and not aggregate.retained_runs:
-        missing.append("runs")
-    if missing:
-        raise IncompleteReport(missing)
-    head = aggregate.retained_runs[0]
-
-    runs_by_id = {r.run_id: r for r in aggregate.retained_runs}
-    for pair in aggregate.dropped:
-        runs_by_id[pair.run_id] = pair
-    score_rows = [_score_row(runs_by_id[rid], s)
-                  for rid, s in scores.items() if rid in runs_by_id]
+    if not aggregate.retained_runs:
+        raise IncompleteReport(["runs"])
+    runs = sorted((*aggregate.retained_runs, *aggregate.dropped),
+                  key=lambda r: r.run_id)
+    head = runs[0]
+    declaration = head.declaration
+    violations = [v for found in audit(runs, reference) for v in found]
+    score_rows = [_score_row(r, score_run(r)) for r in runs]
 
     data = {
         "system_under_test": _system_section(head.system, declaration),
@@ -204,7 +205,7 @@ def emit_report(aggregate: AggregateResult,
                 {"run_id": r.run_id, "epochs_to_quality": r.epochs_to_quality,
                  "wall_time_s": r.wall_time,
                  "achieved_quality": r.achieved_quality}
-                for r in sorted(runs_by_id.values(), key=lambda r: r.run_id)
+                for r in runs
             ],
         },
         "rule_audit": {

@@ -214,7 +214,8 @@ def ridge_point(peak_flops: float, peak_band: float) -> float:
     Points with ``coi >= ridge`` are compute-bound; below it they are
     communication-bound.
     """
-    if peak_band <= 0:
+    _num(peak_flops, "peak_flops")
+    if _num(peak_band, "peak_band") <= 0:
         raise DegenerateBand("peak_band must be positive")
     return peak_flops / peak_band
 
@@ -407,6 +408,8 @@ def validate_point(model: RooflineModel, point: RooflinePoint,
     a :class:`BoundExceededWarning` rather than failing silently or
     rejecting the point.
     """
+    if _num(tolerance, "tolerance") < 0:
+        raise SchemaError("tolerance must be non-negative")
     if point.attained is None:
         return True
     bound = attained_bound(model, point.coi)

@@ -21,6 +21,7 @@ the population standard deviation over the mean of epochs-to-quality
 across all submitted trials.
 """
 
+import marshal
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -54,6 +55,7 @@ __all__ = [
     "LayerVerdict",
     "EquivalenceReport",
     "validate_declaration",
+    "audit",
     "check_equivalence",
     "Decay",
     "LearningRateSchedule",
@@ -180,6 +182,25 @@ def validate_declaration(run: RunRecord,
                          f"reference and is immutable at "
                          f"{run.level.value} level")))
     return violations
+
+
+def audit(runs: Sequence[RunRecord],
+          reference: NineLayerDeclaration) -> list[list[Violation]]:
+    """``validate_declaration`` of each run, in run order.  The audit
+    depends only on the run's declaration and level, so it runs once per
+    distinct pair and runs that share one share its result.  The layers
+    are keyed by ``marshal.dumps(layers, 2)``, not by ``==``: ``True ==
+    1``, but a violation message quotes the declared value, and those
+    bytes keep each value's type, as ``repr`` would, at a fraction of its
+    cost.  The bytes are only compared, never loaded."""
+    audits: dict = {}
+    out = []
+    for run in runs:
+        key = (marshal.dumps(run.declaration.layers, 2), run.level)
+        if key not in audits:
+            audits[key] = validate_declaration(run, reference)
+        out.append(audits[key])
+    return out
 
 
 class LayerVerdict(str, Enum):

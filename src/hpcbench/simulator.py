@@ -166,7 +166,7 @@ def allreduce_time(message_bytes: float, participants: int,
     link rate (links run concurrently).  Latency term: per-message
     latency times the topology's phase count.
     """
-    if bandwidth <= 0:
+    if _num(bandwidth, "bandwidth") <= 0:
         raise DegenerateBand("bandwidth must be positive")
     traffic = allreduce_traffic(message_bytes, participants)
     return traffic.per_participant / bandwidth + _latency_term(participants,

@@ -8,7 +8,7 @@ import pytest
 from hpcbench import rules
 from hpcbench import cli
 from hpcbench import store as store_mod
-from hpcbench.cli import _audit, _build_parser, main
+from hpcbench.cli import _build_parser, main
 from hpcbench.core import BenchLevel, NineLayerDeclaration, dumps
 from hpcbench.presets import case_study_system, ewa_workload
 from hpcbench.rules import Severity
@@ -280,6 +280,32 @@ class TestRecordInputs:
         assert "image_classification (target 0.05)" in err
 
 
+    def test_report_does_not_depend_on_input_order(self, ranking_store,
+                                                   tmp_path, capsys):
+        runs = [r for r in ranking_store["runs"]
+                if r.run_id.startswith("ic-mixed-64-")]
+        layers = [dict(layer) for layer in runs[0].declaration.layers]
+        layers[4]["framework"] = "pytorch-unreviewed"
+        runs[0] = replace(runs[0],
+                          declaration=NineLayerDeclaration(tuple(layers)))
+        paths = []
+        for run in runs:
+            paths.append(str(tmp_path / f"{run.run_id}.json"))
+            Path(paths[-1]).write_text(dumps(run))
+        argv = ["report", "--reference", str(ranking_store["reference"]),
+                "--format", "json"]
+        forward = run_cli(capsys, *argv, *paths)
+        backward = run_cli(capsys, *argv, *reversed(paths))
+        assert forward == backward
+        code, out, _ = forward
+        doc = json.loads(out)
+        assert code == 2 and not doc["rule_audit"]["clean"]
+        assert [v["key"] for v in doc["rule_audit"]["violations"]] == [
+            "framework"]
+        assert [row["run_id"] for row in doc["scores"]["runs"]] == sorted(
+            r.run_id for r in runs)
+
+
 class TestSelection:
     """Under --store, --select picks record files by name before reading;
     positional paths are read whole."""
@@ -350,7 +376,7 @@ class TestSelection:
             return validate(run, ref)
 
         monkeypatch.setattr(rules, "validate_declaration", counted)
-        assert _audit(runs, reference) == expected
+        assert rules.audit(runs, reference) == expected
         # one call per configuration (each declares its own precision
         # and batch size), per sync_mode value and for the second level
         assert len(calls) == 6 + 3

@@ -15,6 +15,7 @@ from conftest import build_ranking_runs
 from hpcbench.cli import main
 from hpcbench.core import dumps
 from hpcbench.errors import (
+    DegenerateTarget,
     IncomparableWorkloads,
     InvalidScaleOrder,
     InvalidSchedule,
@@ -25,6 +26,7 @@ from hpcbench.errors import (
 from hpcbench.metrics import (
     check_profiled_flops_per_sample,
     flops_per_sample_from_profile,
+    Score,
     parallel_efficiency,
     penalty_coefficient,
     scaling_ratio,
@@ -36,7 +38,7 @@ from hpcbench.presets import (
     case_study_system,
     image_classification_workload,
 )
-from hpcbench.report import rank
+from hpcbench.report import rank, vflops_ratio
 from hpcbench.roofline import (
     Ceiling,
     Compress,
@@ -45,6 +47,8 @@ from hpcbench.roofline import (
     apply_whatif,
     attained_bound,
     build_model,
+    ridge_point,
+    validate_point,
 )
 from hpcbench.rules import (
     LearningRateSchedule,
@@ -55,6 +59,8 @@ from hpcbench.rules import (
 from hpcbench.simulator import (
     OverlapModel,
     SimulationOptions,
+    TopologySpec,
+    allreduce_time,
     allreduce_traffic,
     run_scenario,
     step_time,
@@ -62,6 +68,7 @@ from hpcbench.simulator import (
 from hpcbench.store import ResultsStore
 
 POINT = RooflinePoint.from_traffic("p", 1e12, 1e6)
+RING = TopologySpec.ring(5e-6)
 NOT_UTF8 = b'{"run_id": "\xff"}'
 
 
@@ -180,6 +187,25 @@ def _replicate_at_two_targets(tmp_path):
      "declared flops per sample must be finite, got nan"),
     (lambda _: check_profiled_flops_per_sample(1e12, 4, 2.5e11, math.nan),
      SchemaError, "^tolerance must be finite, got nan$"),
+    (lambda _: vflops_ratio(Score(1.0, 1.0, time_to_quality=1.0, penalty=1.0),
+                            Score(0.0, 0.0, time_to_quality=1.0, penalty=1.0)),
+     SchemaError, "^baseline vflops must be positive, got 0.0$"),
+    (lambda _: ridge_point(1.0, math.nan), SchemaError,
+     "^peak_band must be finite, got nan$"),
+    (lambda _: ridge_point(math.nan, 1.0), SchemaError,
+     "^peak_flops must be finite, got nan$"),
+    (lambda _: allreduce_time(1e6, 8, RING, math.nan), SchemaError,
+     "^bandwidth must be finite, got nan$"),
+    (lambda _: allreduce_time(1e6, 8, RING, "1e9"), SchemaError,
+     "^bandwidth must be a number, got '1e9'$"),
+    (lambda _: validate_point(build_model(case_study_system(), "distributed"),
+                              POINT, tolerance=math.nan),
+     SchemaError, "^tolerance must be finite, got nan$"),
+    (lambda _: validate_point(build_model(case_study_system(), "distributed"),
+                              POINT, tolerance=-0.05),
+     SchemaError, "^tolerance must be non-negative$"),
+    (lambda _: penalty_coefficient(0.5, 1.0, True), DegenerateTarget,
+     "^quality exponent must be an integer >= 1, got True$"),
 ], ids=["schedule-warmup", "lr_schedule-nan", "compress-nan",
         "compress-string", "precision-shift-nan", "store-load-not-utf8",
         "scenario-not-utf8", "aggregate-two-configurations", "schedule-at-nan",
@@ -192,7 +218,11 @@ def _replicate_at_two_targets(tmp_path):
         "allreduce-traffic-nan-participants", "ceiling-named-peak",
         "skew-seed-list", "per-watt-nan-power", "per-watt-nan-vflops",
         "scaling-ratio-nan", "profile-nan", "replicability-nan-tolerance",
-        "profile-check-nan-declared", "profile-check-nan-tolerance"])
+        "profile-check-nan-declared", "profile-check-nan-tolerance",
+        "vflops-ratio-zero-baseline", "ridge-point-nan-band",
+        "ridge-point-nan-peak", "allreduce-time-nan-bandwidth",
+        "allreduce-time-string-bandwidth", "validate-point-nan-tolerance",
+        "validate-point-negative-tolerance", "penalty-bool-exponent"])
 def test_the_owner_refuses_bad_input(tmp_path, call, error, match):
     with pytest.raises(error, match=match):
         call(tmp_path)

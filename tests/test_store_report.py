@@ -8,7 +8,14 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from hpcbench.core import BenchLevel, PrecisionMode, RunRecord, dumps, loads
+from hpcbench.core import (
+    BenchLevel,
+    NineLayerDeclaration,
+    PrecisionMode,
+    RunRecord,
+    dumps,
+    loads,
+)
 from hpcbench.errors import (
     BenchError,
     DuplicateRun,
@@ -24,7 +31,7 @@ from hpcbench.presets import (
     reference_declaration,
 )
 from hpcbench.report import emit_report, rank, vflops_ratio
-from hpcbench.rules import AggregateResult, Severity, Violation, aggregate_runs
+from hpcbench.rules import AggregateResult, aggregate_runs
 from hpcbench.store import IngestResult, ResultsStore, ingest
 from hpcbench.units import TERA
 
@@ -41,6 +48,13 @@ def make_run(run_id="r1", quality=None, wall_time=1000.0, scale=8,
         samples_per_second_per_rank=sps, num_ranks=scale,
         level=BenchLevel.HARDWARE,
         declaration=reference_declaration(workload), average_power=power)
+
+
+def _with_layer(run, index, **changes):
+    """``run`` with ``changes`` made to layer ``index`` of its declaration."""
+    layers = [dict(layer) for layer in run.declaration.layers]
+    layers[index - 1].update(changes)
+    return replace(run, declaration=NineLayerDeclaration(tuple(layers)))
 
 
 _RECORD = dumps(make_run()).encode("utf-8")
@@ -572,11 +586,10 @@ class TestRank:
                                        scale=16, sps=100.0)])
 
     def test_violating_run_listed_but_ineligible(self):
-        offender = make_run(run_id="offender")
-        violations = {"offender": [Violation(8, "weight_decay",
-                                             Severity.ERROR, "changed")]}
-        rows = rank([offender, make_run(run_id="clean", sps=4.0)],
-                    violations=violations)
+        offender = _with_layer(make_run(run_id="offender"), 8,
+                               weight_decay=0.5)
+        clean = make_run(run_id="clean", sps=4.0)
+        rows = rank([offender, clean], reference=clean.declaration)
         assert {r.run_id for r in rows} == {"offender", "clean"}
         offender_row = next(r for r in rows if r.run_id == "offender")
         assert not offender_row.eligible
@@ -590,13 +603,11 @@ class TestEmitReport:
         runs = [make_run(run_id=f"t{i}", epochs=e, power=power)
                 for i, e in enumerate(epochs)]
         agg = aggregate_runs(runs)
-        scores = {r.run_id: score_run(r) for r in runs}
-        return workload, runs, agg, scores
+        return workload, runs, agg, reference_declaration(workload)
 
     def test_all_three_parts_present(self):
-        workload, runs, agg, scores = self.build_inputs()
-        doc = emit_report(aggregate=agg, violations=[], scores=scores,
-                          declaration=runs[0].declaration)
+        workload, runs, agg, reference = self.build_inputs()
+        doc = emit_report(agg, reference)
         assert set(doc.data) >= {"system_under_test",
                                  "benchmark_configuration", "scores"}
         sut = doc.data["system_under_test"]
@@ -614,32 +625,24 @@ class TestEmitReport:
         json.loads(doc.json())  # machine twin is valid JSON
 
     def test_missing_power_marked_not_measured(self):
-        workload, runs, agg, scores = self.build_inputs(power=None)
-        doc = emit_report(aggregate=agg, violations=[], scores=scores,
-                          declaration=runs[0].declaration)
+        workload, runs, agg, reference = self.build_inputs(power=None)
+        doc = emit_report(agg, reference)
         assert "not measured" in doc.markdown
         row = doc.data["scores"]["runs"][0]
         assert row["vflops_per_watt"] == "not measured"
         assert row["flops_per_watt"] == "not measured"
 
-    def test_missing_section_rejected(self):
-        workload, runs, agg, scores = self.build_inputs()
-        with pytest.raises(IncompleteReport, match="declaration"):
-            emit_report(aggregate=agg, violations=[], scores=scores,
-                        declaration=None)
-
     def test_aggregate_without_runs_rejected(self):
-        _, runs, _, scores = self.build_inputs()
+        _, runs, _, reference = self.build_inputs()
         empty = AggregateResult(retained_runs=(), dropped=(), mean_scores={},
                                 variation=0.0, wall_time_variation=0.0)
         with pytest.raises(IncompleteReport, match="runs"):
-            emit_report(aggregate=empty, violations=[], scores=scores,
-                        declaration=runs[0].declaration)
+            emit_report(empty, reference)
 
     def test_ratio_study_reproduces_published_column(self):
         # accuracy-gain pairs chosen to land on the published ratios
         # 1.03 / 1.03 / 1.10 for 16 / 32 / 64 GPUs
-        workload, runs, agg, scores = self.build_inputs()
+        workload, runs, agg, reference = self.build_inputs()
         flops = 100 * TERA
         pairs = [("16 GPUs", 0.7580, 0.7625),
                  ("32 GPUs", 0.7580, 0.7625),
@@ -651,18 +654,15 @@ class TestEmitReport:
             opt = Score(flops=flops, vflops=vflops(flops, opt_q, 0.763, 5),
                         time_to_quality=1.0, penalty=1.0)
             studies.append((label, base, opt))
-        doc = emit_report(aggregate=agg, violations=[], scores=scores,
-                          declaration=runs[0].declaration,
-                          ratio_studies=studies)
+        doc = emit_report(agg, reference, ratio_studies=studies)
         ratios = [round(s["vflops_ratio"], 2)
                   for s in doc.data["optimization_studies"]]
         assert ratios == [1.03, 1.03, 1.10]
         assert "VFLOPS ratio" in doc.markdown
 
     def test_every_reported_number_traces_to_inputs(self):
-        workload, runs, agg, scores = self.build_inputs()
-        doc = emit_report(aggregate=agg, violations=[], scores=scores,
-                          declaration=runs[0].declaration)
+        workload, runs, agg, reference = self.build_inputs()
+        doc = emit_report(agg, reference)
         by_id = {r.run_id: r for r in runs}
         for row in doc.data["scores"]["runs"]:
             run = by_id[row["run_id"]]
@@ -670,6 +670,16 @@ class TestEmitReport:
             assert row["flops"] == expected.flops
             assert row["vflops"] == expected.vflops
             assert row["time_to_quality_s"] == run.wall_time
+
+    def test_runs_are_audited_against_the_reference(self):
+        workload, runs, _, reference = self.build_inputs()
+        runs[2] = _with_layer(runs[2], 5, framework="pytorch-unreviewed")
+        doc = emit_report(aggregate_runs(runs), reference)
+        audit = doc.data["rule_audit"]
+        assert not audit["clean"]
+        assert [(v["layer"], v["key"], v["severity"])
+                for v in audit["violations"]] == [(5, "framework", "error")]
+        assert "| 5 | framework | error |" in doc.markdown
 
     def test_vflops_ratio_helper(self):
         a = Score(flops=1.0, vflops=2.0, time_to_quality=1.0, penalty=1.0)
