@@ -11,10 +11,13 @@ All types are immutable after construction and safe to share across
 threads.  Construction validates invariants and raises
 :class:`~hpcbench.errors.SchemaError` naming the offending field.
 Because they are frozen, records parsed by one
-:func:`~hpcbench.store.ingest` call may share one ``system`` or
-``workload`` object when their JSON sub-documents are identical: equal
-as values, with the same types and the same key order, so that ``1``,
-``1.0`` and ``True`` (or ``0.0`` and ``-0.0``) never share an object.
+:func:`~hpcbench.store.ingest` call share one ``system`` or ``workload``
+object when the JSON texts of those sub-documents are byte-identical
+within that call, so that ``1``, ``1.0`` and ``true`` (or ``0.0`` and
+``-0.0``) never share an object.  Such a text is parsed and validated
+once per call; a later copy is matched by its text and not parsed again
+(:func:`_walk_run`).  ``json.loads`` still judges every document that
+this path refuses, so a refused file gets the same error either way.
 """
 
 from collections.abc import Mapping
@@ -23,9 +26,9 @@ from enum import Enum
 from functools import cache
 import json
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
-import marshal
 import math
 import re
+import sys
 from typing import Any, Optional
 
 from .errors import MissingPrecision, ParseError, SchemaError
@@ -103,10 +106,23 @@ def _int(value: Any, name: str, minimum: Optional[int] = None) -> int:
     return value
 
 
+@cache
+def _members(enum: type) -> dict:
+    """``{member.value: member}`` of ``enum``, built once."""
+    return {member.value: member for member in enum}
+
+
 def _coerce(enum: type, value: Any, name: str):
     """``enum(value)`` for field ``name``: the one place an enum value
-    becomes a member.  An undefined value is a :class:`SchemaError`."""
-    if type(value) is enum:
+    becomes a member.  An undefined value is a :class:`SchemaError`.
+    A value of exact type ``str`` is looked up in :func:`_members`; any
+    other (a ``str`` subclass, a number, an unhashable value) goes
+    through ``enum(value)``."""
+    if type(value) is str:
+        member = _members(enum).get(value)
+        if member is not None:
+            return member
+    elif type(value) is enum:
         return value
     try:
         return enum(value)
@@ -172,12 +188,14 @@ class JsonCodec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any], *,
-                  _intern: Optional[dict] = None):
+                  _intern: Optional[dict] = None,
+                  _keys: Optional[dict] = None):
         """Build an instance from decoded JSON.
 
-        ``_intern`` is the table :func:`loads` passes for one ingest:
-        a valid ``workload`` or ``system`` is built once per distinct
-        sub-document and reused, see :func:`_interned`.
+        ``_intern`` and ``_keys`` are private to :func:`loads`:
+        ``_keys`` maps a nested field to its key in the table
+        ``_intern``, and that field is built once per key and reused,
+        see :func:`_interned`.
         """
         if not _is_mapping(data):
             raise SchemaError(f"{cls.__name__} must be an object")
@@ -189,11 +207,13 @@ class JsonCodec:
         for name, tp in _nested(cls):
             if name not in kwargs:
                 continue  # the constructor reports a missing field
+            if _keys and name in _keys:
+                kwargs[name] = _interned(_intern, _keys[name], kwargs[name])
+                continue
             raw = kwargs[name]
             if not _is_mapping(raw):
                 raise SchemaError(f"{name} must be an object")
-            kwargs[name] = _interned(_intern if tp in _SHARED else None,
-                                     tp, raw)
+            kwargs[name] = tp.from_dict(raw)
         try:
             return cls(**kwargs)
         except TypeError as exc:  # missing required fields
@@ -457,30 +477,21 @@ class RunRecord(JsonCodec):
                      "average_power must be positive when present")
 
 
-#: Sub-documents of a run that one ingest may share between records.
-_SHARED = (WorkloadSpec, SystemConfig)
+def _interned(table: dict, key: tuple, raw: Any):
+    """The object ``table`` holds under ``key``, ``(cls, text)``; built
+    as ``cls.from_dict(raw)`` and stored if the key is new.
 
-
-def _interned(table: Optional[dict], cls, raw: Mapping[str, Any]):
-    """``cls.from_dict(raw)``, built once per distinct ``raw`` in
-    ``table``.
-
-    The key is ``marshal.dumps(raw, 2)`` of the JSON-decoded
-    sub-document, computed in C.  It is exact, like ``repr`` but without
-    formatting floats: it writes each value's type and bits, so it keeps
-    ``1``, ``1.0`` and ``True`` apart, and ``0.0`` and ``-0.0``.  Format
-    2 writes no back-references, so the bytes depend on the values and
-    not on which objects are shared.  The key is only compared, never
-    loaded, and lives as long as the table.  The same keys in another
-    order miss the table, which costs a rebuild and nothing else.  A
-    sub-document that fails validation raises and is never stored.
+    ``text`` is the exact JSON text of the sub-document and ``raw`` its
+    decoded value.  One text always decodes to one value, so the key is
+    exact: ``1``, ``1.0`` and ``true`` (or ``0.0`` and ``-0.0``) are
+    different texts and never share an object.  Equal values written
+    differently (other whitespace, key order or escapes) miss the table,
+    which costs a rebuild and nothing else.  A sub-document that fails
+    validation raises and is never stored.
     """
-    if table is None or type(raw) is not dict:
-        return cls.from_dict(raw)
-    key = (cls, marshal.dumps(raw, 2))
     obj = table.get(key)
     if obj is None:
-        obj = table[key] = cls.from_dict(raw)
+        obj = table[key] = key[0].from_dict(raw)
     return obj
 
 
@@ -526,6 +537,105 @@ def _parse_json(text, path=None):
         raise ParseError(str(exc), path=path) from None
 
 
+#: The run fields one ingest may share between records, by JSON key.
+_SHARED = {"workload": WorkloadSpec, "system": SystemConfig}
+
+#: Table entries, most recently used first, whose text a shared value is
+#: compared with before it is parsed.
+_PROBES = 4
+
+_scan_once = json.JSONDecoder().scan_once
+
+
+@cache
+def _matchers() -> tuple:
+    """The ``match`` methods of three patterns: a document's opening
+    brace through its first key's colon, a member's comma through its
+    key's colon, and the closing brace through the end of the text; a
+    key has no escape or control character.  Compiled on first use, not
+    at import."""
+    ws = r"[ \t\n\r]*"
+    key = r'"([^"\\\x00-\x1f]*)"' + ws + ":" + ws
+    return (re.compile(ws + r"\{" + ws + key).match,
+            re.compile(ws + "," + ws + key).match,
+            re.compile(ws + r"\}" + ws + r"\Z").match)
+
+
+def _walk_run(text, table: dict) -> Optional[tuple]:
+    """``(data, keys)`` of a run record document, for
+    ``RunRecord.from_dict(data, _intern=table, _keys=keys)``, or ``None``
+    where ``json.loads`` must judge the document.
+
+    The top-level object is walked with ``json``'s own scanner, one
+    member at a time, until both shared keys (:data:`_SHARED`) hold
+    objects; the members after them are parsed by ``json.loads`` as one
+    object.  A shared value is first compared with the texts of the last
+    :data:`_PROBES` entries of ``table``: an object's JSON text is
+    prefix-free, so a text that starts at the value is the whole value,
+    which is then neither parsed nor kept (``data`` holds ``None`` for
+    it, and ``keys`` its table key).  Any other object at a shared key is
+    parsed and keyed by its text; if the table holds that key, the entry
+    moves to the end, as the most recently used.  The last of duplicate
+    keys wins, as in ``json.loads``.
+
+    ``None`` is returned for whatever the walk does not accept: bytes
+    that are not UTF-8, a document that is not one object, a key with an
+    escape, a key among the members parsed as one object that an earlier
+    member has, and any JSON error.  So is a member value parsed on its
+    own that holds more ``{`` and ``[`` than a quarter of the recursion
+    limit: ``json.loads`` would parse it a few frames deeper and might
+    give up on its nesting.  The members parsed as one object are parsed
+    by ``json.loads`` at the depth it would parse them at, so they nest
+    as far.
+    """
+    try:
+        s = text.decode("utf-8") if type(text) is bytes else text
+        opening, member, closing = _matchers()
+        m = opening(s) if type(s) is str else None
+        if m is None:
+            return None
+        data, keys = {}, {}
+        deep = sys.getrecursionlimit() // 4
+        while True:
+            name, i = m[1], m.end()
+            cls = _SHARED.get(name)
+            key = None
+            if cls is not None:
+                probes = _PROBES
+                for entry in reversed(table):
+                    if entry[0] is cls and s.startswith(entry[1], i):
+                        key = entry
+                        break
+                    probes -= 1
+                    if not probes:
+                        break
+            if key is not None:
+                data[name], keys[name] = None, key
+                end = i + len(key[1])
+            else:
+                data[name], end = _scan_once(s, i)
+                if end - i > deep and (s.count("{", i, end)
+                                       + s.count("[", i, end)) > deep:
+                    return None
+                if cls is not None and type(data[name]) is dict:
+                    key = keys[name] = (cls, s[i:end])
+                    if key in table:
+                        table[key] = table.pop(key)
+                elif cls is not None:
+                    keys.pop(name, None)
+            m = member(s, end)
+            if m is None:
+                return (data, keys) if closing(s, end) else None
+            if len(keys) == len(_SHARED):
+                rest = json.loads("{" + s[m.start(1) - 1:])
+                if not data.keys().isdisjoint(rest.keys()):
+                    return None
+                rest.update(data)
+                return rest, keys
+    except (StopIteration, ValueError, RecursionError):
+        return None
+
+
 def loads(text, kind: str, path=None, *, _intern: Optional[dict] = None):
     """Parse a JSON document (text or file bytes) into the named type.
 
@@ -533,8 +643,15 @@ def loads(text, kind: str, path=None, *, _intern: Optional[dict] = None):
     ``declaration``.  Unknown fields are rejected.
     ``_intern`` is private to :func:`~hpcbench.store.ingest`, which
     passes one fresh table per call so that its ``run`` records share
-    identical ``system``/``workload`` objects.
+    the ``system``/``workload`` objects of byte-identical sub-documents
+    (see :func:`_walk_run`); ``json.loads`` still judges every document
+    the walk does not accept, so each refusal is the same.
     """
+    if _intern is not None and kind == "run":
+        walked = _walk_run(text, _intern)
+        if walked is not None:
+            return RunRecord.from_dict(walked[0], _intern=_intern,
+                                       _keys=walked[1])
     data = _parse_json(text, path)
     if not _is_mapping(data):
         raise SchemaError(f"top-level JSON value must be an object ({path or kind})")
@@ -542,7 +659,7 @@ def loads(text, kind: str, path=None, *, _intern: Optional[dict] = None):
         cls = _TYPE_BY_KIND[kind]
     except KeyError:
         raise ValueError(f"unknown document kind {kind!r}") from None
-    return cls.from_dict(data, _intern=_intern)
+    return cls.from_dict(data)
 
 
 def dumps(obj) -> str:

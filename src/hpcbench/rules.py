@@ -38,6 +38,7 @@ from .core import (
     _num,
 )
 from .errors import (
+    DuplicateRun,
     IncomparableWorkloads,
     InsufficientRuns,
     InvalidSchedule,
@@ -368,14 +369,21 @@ def aggregate_runs(runs: Sequence[RunRecord]) -> AggregateResult:
 
     The trials must share one :func:`configuration_key`, and are scored
     against its workload; declarations may differ (the rule audit
-    reports that).  Requires at least the workload's ``min_runs``
-    trials.  Trials are sorted by (epochs_to_quality, run_id) and the
+    reports that).  Each trial must have its own run id
+    (:class:`DuplicateRun` names the first repeated one).  Requires at
+    least the workload's ``min_runs`` trials.  Trials are sorted by (epochs_to_quality, run_id) and the
     single highest and lowest are dropped before averaging scores; ties
     drop the first encountered in that stable order.  Variation is
     reported over all submitted trials.
     """
     if not runs:
         raise SchemaError("no runs to aggregate")
+    seen = set()
+    for run in runs:
+        if run.run_id in seen:
+            raise DuplicateRun(f"run_id {run.run_id!r} appears twice "
+                               "among the runs to aggregate")
+        seen.add(run.run_id)
     configs = []
     for key in map(configuration_key, runs):
         if key not in configs:

@@ -163,8 +163,9 @@ def ingest(*paths, _listed: Iterable[str] = ()) -> IngestResult:
     Bad documents become diagnostics instead of aborting the batch.  One
     duplicate table spans all ``paths``, so a run id that arrives twice
     is a ``duplicate run_id`` diagnostic and the first copy is kept.
-    Identical ``system`` or ``workload`` sub-documents share one (frozen)
-    object, built and validated once per call.  Each file is read once,
+    ``system`` or ``workload`` sub-documents whose JSON text is
+    byte-identical share one (frozen) object, parsed, built and
+    validated once per call.  Each file is read once,
     as bytes; one that is not strict UTF-8 is a ``parse`` diagnostic.
 
     ``_listed`` is private to the CLI: file names a :func:`_json_files`

@@ -1,6 +1,8 @@
 import json
+import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hpcbench.core import (
     AcceleratorSpec,
@@ -269,3 +271,255 @@ class TestInterning:
             with pytest.raises(SchemaError, match="num_nodes"):
                 loads(json.dumps(doc), "run", _intern=table)
         assert [key[0] for key in table] == [WorkloadSpec]
+
+
+_DOC = json.loads(dumps(make_run()))
+_RECORD = dumps(make_run())
+
+#: Ways to write a document: ``json.dumps`` keyword arguments.
+_FORMATS = [{"indent": 2}, {}, {"separators": (",", ":")}, {"indent": "\t"}]
+
+
+def _outcome(text, **kwargs):
+    """What ``loads`` makes of ``text``: the record's type and JSON text,
+    or the refusal's type, message, line and column."""
+    try:
+        record = loads(text, "run", **kwargs)
+    except (SchemaError, ValueError) as exc:
+        return (type(exc), str(exc), getattr(exc, "line", None),
+                getattr(exc, "offset", None))
+    return type(record), dumps(record)
+
+
+def _seeded() -> dict:
+    """A table holding the record's ``workload`` and ``system`` in every
+    format of :data:`_FORMATS`."""
+    table = {}
+    for fmt in _FORMATS:
+        loads(json.dumps(_DOC, **fmt), "run", _intern=table)
+    return table
+
+
+def _same(text, table) -> None:
+    assert _outcome(text, _intern=table) == _outcome(text)
+
+
+def _sub_text(name) -> str:
+    """The text of the record's ``name`` sub-document in
+    :data:`_RECORD`."""
+    start = _RECORD.index(f'"{name}": ') + len(name) + 4
+    return _RECORD[start:json.JSONDecoder().raw_decode(_RECORD, start)[1]]
+
+
+def _field_paths(doc, prefix=()):
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)) and value:
+            yield from _field_paths(value, prefix + (key,))
+
+
+_FIELD_PATHS = list(_field_paths(_DOC))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6)
+_KEYS = st.sampled_from(["system", "workload", "zzz", "run_id", "scale"])
+
+_SHARED_TABLE = _seeded()
+
+
+@st.composite
+def _documents(draw):
+    """The record with one field replaced by any JSON value, its
+    top-level keys in any order, written in any format of
+    :data:`_FORMATS`, with a member that may repeat a key added first or
+    last."""
+    doc = json.loads(_RECORD)
+    if draw(st.booleans()):
+        path = draw(st.sampled_from(_FIELD_PATHS))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = draw(_JSON_VALUES)
+    order = draw(st.permutations(list(doc)))
+    fmt = draw(st.sampled_from(_FORMATS))
+    text = json.dumps({key: doc[key] for key in order}, **fmt)
+    if draw(st.booleans()):
+        key = draw(_KEYS)
+        value = (_DOC[key] if key in _DOC and draw(st.booleans())
+                 else draw(_JSON_VALUES))
+        member = json.dumps({key: value}, **fmt).strip()[1:-1].strip()
+        text = (text[0] + member + "," + text[1:] if draw(st.booleans())
+                else text[:-1].rstrip() + "," + member + text[-1])
+    return text
+
+
+class TestSharedParse:
+    """The ingest parse path, ``loads(text, "run", _intern=table)``,
+    against ``loads(text, "run")``: for every document and a table shared
+    between documents, the same record or the same refusal (type,
+    message, line and column)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_documents())
+    @example(_RECORD)
+    def test_mutated_records(self, text):
+        _same(text, _SHARED_TABLE)
+
+    def test_shared_objects_come_from_the_table(self):
+        table = _seeded()
+        first = loads(_RECORD, "run", _intern=table)
+        again = loads(_RECORD.encode("utf-8"), "run", _intern=table)
+        assert again.system is first.system
+        assert again.workload is first.workload
+        assert again == first == make_run()
+
+    def test_duplicate_system_last_valid_wins(self):
+        # (a) the first value is invalid, the last valid: accepted
+        bad = json.loads(json.dumps(_DOC["system"]))
+        bad["num_nodes"] = 0
+        text = '{"system": ' + json.dumps(bad) + "," + _RECORD[1:]
+        for table in ({}, _seeded()):
+            _same(text, table)
+            assert loads(text, "run", _intern=table) == make_run()
+
+    def test_duplicate_system_last_invalid_refused(self):
+        bad = json.loads(json.dumps(_DOC["system"]))
+        bad["num_nodes"] = 0
+        text = _RECORD[:-1].rstrip() + ',\n  "system": ' + json.dumps(bad) + "}"
+        for table in ({}, _seeded()):
+            _same(text, table)
+            with pytest.raises(SchemaError, match="num_nodes"):
+                loads(text, "run", _intern=table)
+
+    def test_unknown_field_reported_before_invalid_system(self):
+        # (b) the unknown-field check comes before any sub-document
+        doc = json.loads(_RECORD)
+        doc["system"]["num_nodes"] = 0
+        doc["zzz"] = 1
+        text = json.dumps(doc, indent=2)
+        for table in ({}, _seeded()):
+            _same(text, table)
+            with pytest.raises(SchemaError) as err:
+                loads(text, "run", _intern=table)
+            assert str(err.value) == "unknown fields for RunRecord: zzz"
+
+    @pytest.mark.parametrize("value", ["3", "[]", "null", '"x"'])
+    def test_duplicate_system_last_not_an_object(self, value):
+        # the valid, cached system first, before the walk has seen both
+        # shared keys
+        text = ('{"run_id": "r1", "system": ' + _sub_text("system")
+                + ', "system": ' + value + ', "workload": '
+                + _sub_text("workload") + ","
+                + _RECORD[_RECORD.index('\n  "scale"'):])
+        for table in ({}, _seeded()):
+            _same(text, table)
+            with pytest.raises(SchemaError, match="^system must be an object"):
+                loads(text, "run", _intern=table)
+
+    def test_swapped_sub_documents(self):
+        text = (_RECORD.replace(_sub_text("workload"), "@")
+                .replace(_sub_text("system"), _sub_text("workload"))
+                .replace("@", _sub_text("system")))
+        table = {}
+        loads(_RECORD, "run", _intern=table)
+        _same(text, table)
+        with pytest.raises(SchemaError, match="unknown fields for WorkloadSpec"):
+            loads(text, "run", _intern=table)
+
+    @pytest.mark.parametrize("last", [False, True], ids=["only", "repeated"])
+    def test_escaped_key(self, last):
+        # (c) "system" is the key "system"
+        table = _seeded()
+        if last:
+            bad = json.loads(json.dumps(_DOC["system"]))
+            bad["num_nodes"] = 0
+            text = (_RECORD[:-1].rstrip() + ',\n  "\\u0073ystem": '
+                    + json.dumps(bad) + "}")
+        else:
+            text = _RECORD.replace('"system"', '"\\u0073ystem"', 1)
+        _same(text, table)
+        if last:
+            with pytest.raises(SchemaError, match="num_nodes"):
+                loads(text, "run", _intern=table)
+        else:
+            assert loads(text, "run", _intern=table) == make_run()
+
+    def test_system_before_workload(self):
+        # (d)
+        order = ["system", "workload"] + [k for k in _DOC
+                                          if k not in ("system", "workload")]
+        text = json.dumps({key: _DOC[key] for key in order}, indent=2)
+        table = _seeded()
+        _same(text, table)
+        record = loads(text, "run", _intern=table)
+        shared = loads(_RECORD, "run", _intern=table)
+        assert record.system is shared.system
+        assert record.workload is shared.workload
+
+    def test_cached_text_inside_a_declaration_layer(self):
+        # (e) only the value of the top-level key can reuse an entry
+        table = _seeded()
+        cached = _sub_text("system")
+        doc = json.loads(_RECORD)
+        doc["system"]["num_nodes"] = 0
+        text = json.dumps(doc, indent=2)
+        layer = '"layers": [\n      {"copy": ' + cached + ", "
+        text = text.replace('"layers": [\n      {', layer, 1)
+        assert cached in text
+        _same(text, table)
+        with pytest.raises(SchemaError, match="num_nodes"):
+            loads(text, "run", _intern=table)
+        missing = json.loads(text)
+        del missing["system"]
+        text = json.dumps(missing, indent=2).replace(
+            '"layers": [\n      {', layer, 1)
+        _same(text, table)
+
+    @pytest.mark.parametrize("text", [
+        _RECORD + "x",
+        _RECORD + "\n{}",
+        "\ufeff" + _RECORD,
+        _RECORD[:len(_RECORD) // 2],
+        _RECORD[:-2],
+        _RECORD.replace('"run_id": "r1"', '"run_id": ' + "[" * 100000, 1),
+        _RECORD.replace('"os": "linux"', '"os": ' + "[" * 100000, 1),
+        _RECORD.replace('"scale": 8', '"scale": ' + "[" * 100000, 1),
+    ], ids=["trailing-data", "second-document", "bom", "truncated-half",
+            "truncated-end", "deep-first-member", "deep-layer", "deep-tail"])
+    def test_refused_documents_keep_their_parse_error(self, text):
+        # (f)
+        for data in (text, text.encode("utf-8")):
+            table = _seeded()
+            _same(data, table)
+            with pytest.raises(ParseError):
+                loads(data, "run", _intern=table)
+
+    @pytest.mark.parametrize("field", ["run_id", "scale"])
+    def test_nesting_at_the_recursion_limit(self, field):
+        # the walk parses some values a few frames shallower than
+        # json.loads: around the shallowest nesting json.loads refuses,
+        # it must refuse too
+        def text(n):
+            return _RECORD.replace(f'"{field}": {json.dumps(_DOC[field])}',
+                                   f'"{field}": ' + "[" * n + "]" * n, 1)
+
+        def refused(n):
+            return _outcome(text(n))[0] is ParseError
+
+        low, high = 1, sys.getrecursionlimit()
+        assert not refused(low) and refused(high)
+        while high - low > 1:
+            middle = (low + high) // 2
+            low, high = (low, middle) if refused(middle) else (middle, high)
+        table = _seeded()
+        for n in range(high - 8, high + 8):
+            _same(text(n), table)
+
+    def test_run_in_other_kinds_and_types(self):
+        table = _seeded()
+        for text in ("[]", "1", "", " ", "{}", '{"run_id": "r1"}',
+                     bytearray(_RECORD.encode("utf-8"))):
+            _same(text, table)

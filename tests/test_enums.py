@@ -120,3 +120,21 @@ def test_message_spells_out_the_enum():
 def test_peak_flops_must_be_a_mapping():
     with pytest.raises(SchemaError, match="^peak_flops must be an object$"):
         AcceleratorSpec("a", [("fp32", 1.0)], 1.0, 1.0)
+
+
+class _Str(str):
+    """A ``str`` subclass, which the member map does not look up."""
+
+
+@pytest.mark.parametrize("value", [_Str("fp32"), _Str("fp64"), "fp64", 32,
+                                   True, None, ["fp32"], {"fp32": 1}])
+def test_other_values_go_through_the_enum(value):
+    try:
+        expected = PrecisionMode(value)
+    except ValueError as exc:
+        expected = f"unknown precision mode in precision: {exc}"
+    try:
+        got = replace(RUN, precision=value).precision
+    except SchemaError as exc:
+        got = str(exc)
+    assert (type(got), got) == (type(expected), expected)

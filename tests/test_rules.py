@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from hpcbench.core import BenchLevel, NineLayerDeclaration, PrecisionMode, RunRecord
 from hpcbench.errors import (
+    DuplicateRun,
     IncomparableWorkloads,
     InsufficientRuns,
     InvalidSchedule,
@@ -290,6 +291,13 @@ class TestAggregateRuns:
         agg = aggregate_runs(runs)
         epochs = [r.epochs_to_quality for r in agg.retained_runs]
         assert min(epochs) <= agg.mean_scores["epochs_to_quality"] <= max(epochs)
+
+    def test_repeated_run_id_refused(self, ranking_runs):
+        runs = [r for r in ranking_runs[0] if r.run_id.startswith("ic-fp32-16-")]
+        assert len(runs) == 10
+        copy = replace(runs[0], wall_time=2 * runs[0].wall_time)
+        with pytest.raises(DuplicateRun, match="'ic-fp32-16-r00' appears twice"):
+            aggregate_runs(runs + [copy])
 
     def test_per_watt_mean_present_when_power_recorded(self, ewa):
         runs = runs_with_epochs([10, 11, 12, 13, 14], ewa, power=2500.0)
