@@ -540,7 +540,7 @@ def _parse_json(text, path=None):
 #: The run fields one ingest may share between records, by JSON key.
 _SHARED = {"workload": WorkloadSpec, "system": SystemConfig}
 
-#: Table entries, most recently used first, whose text a shared value is
+#: How many table entries, most recently used first, a shared value is
 #: compared with before it is parsed.
 _PROBES = 4
 

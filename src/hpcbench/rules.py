@@ -371,9 +371,10 @@ def aggregate_runs(runs: Sequence[RunRecord]) -> AggregateResult:
     against its workload; declarations may differ (the rule audit
     reports that).  Each trial must have its own run id
     (:class:`DuplicateRun` names the first repeated one).  Requires at
-    least the workload's ``min_runs`` trials.  Trials are sorted by (epochs_to_quality, run_id) and the
-    single highest and lowest are dropped before averaging scores; ties
-    drop the first encountered in that stable order.  Variation is
+    least the workload's ``min_runs`` trials.  Trials are sorted by
+    (epochs_to_quality, run_id) and the single highest and lowest are
+    dropped before averaging scores; ties drop the first encountered in
+    that stable order.  Variation is
     reported over all submitted trials.
     """
     if not runs:
