@@ -41,7 +41,13 @@ from .errors import (
     SchemaError,
 )
 from .metrics import score_run
-from .roofline import Ceiling, RooflinePoint, build_model, export_plot
+from .roofline import (
+    Ceiling,
+    RooflineMode,
+    RooflinePoint,
+    build_model,
+    export_plot,
+)
 from .store import _json_files, ingest
 
 __all__ = ["main"]
@@ -66,6 +72,8 @@ def _load_runs(args) -> tuple[list[RunRecord], tuple]:
     --store a --select glob picks files by name before any is read;
     positional paths are read whole.  Either way the glob is matched
     against each parsed run id."""
+    if args.workload and not args.store:
+        raise SchemaError("--workload needs --store: it names a store subtree")
     store = Path(args.store, args.workload or "") if args.store else None
     listed = _json_files(store, args.select) if store and store.exists() else ()
     result = ingest(*args.runs, _listed=listed)
@@ -200,6 +208,10 @@ def _read_array(path: str, what: str) -> list:
 
 
 def _cmd_roofline(args) -> int:
+    if (args.out_csv and args.out_svg
+            and Path(args.out_csv).resolve() == Path(args.out_svg).resolve()):
+        raise SchemaError(f"--out-csv and --out-svg both name {args.out_svg}; "
+                          f"give each its own file")
     system = loads(Path(args.system).read_bytes(), "system", path=args.system)
     ceilings = ()
     if args.ceilings:
@@ -292,8 +304,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roofline", help="build a roofline and export CSV/SVG")
     p.add_argument("--system", required=True, help="system config JSON")
-    p.add_argument("--mode", choices=("single_node", "distributed"),
-                   default="distributed")
+    p.add_argument("--mode", default="distributed",
+                   choices=[m.value for m in RooflineMode])
     p.add_argument("--precision", default="fp32",
                    choices=[m.value for m in PrecisionMode])
     p.add_argument("--ceilings", help="JSON list of measured ceilings")

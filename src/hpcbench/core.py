@@ -365,20 +365,6 @@ class WorkloadSpec(JsonCodec):
         return self.params_count * self.bytes_per_param
 
 
-#: 1-based layer indices of the nine-layer system decomposition.
-LAYER_NAMES = {
-    1: "hardware",
-    2: "os",
-    3: "communication_libraries",
-    4: "accelerators_and_libraries",
-    5: "ai_framework",
-    6: "programming_model",
-    7: "workload",
-    8: "hyper_parameters",
-    9: "problem_domain",
-}
-
-
 @dataclass(frozen=True)
 class NineLayerDeclaration(JsonCodec):
     """Full-stack declaration of a run, one key/value map per layer.

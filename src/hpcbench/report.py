@@ -25,7 +25,7 @@ from .core import (
 )
 from .errors import IncomparableWorkloads, IncompleteReport, SchemaError
 from .metrics import Score, score_run
-from .rules import AggregateResult, _workload_label, audit
+from .rules import AggregateResult, Severity, _workload_label, audit
 from .units import fmt_bytes_per_s, fmt_flops, fmt_seconds
 
 __all__ = ["RankingRow", "rank", "vflops_ratio", "ReportDocument", "emit_report"]
@@ -75,7 +75,7 @@ def rank(runs: Sequence[RunRecord],
                                      rsa[0].run_id))
     rows = []
     for position, (run, score, violations) in enumerate(scored, start=1):
-        errors = [v for v in violations if v.severity.value == "error"]
+        errors = [v for v in violations if v.severity is Severity.ERROR]
         status = "CLEAN" if not errors else f"VIOLATIONS({len(errors)})"
         label = (f"{run.system.node.accelerator.name} "
                  f"x{run.scale} {run.precision.value}")
@@ -210,7 +210,7 @@ def emit_report(aggregate: AggregateResult,
         },
         "rule_audit": {
             "violations": [v.to_dict() for v in violations],
-            "clean": not any(v.severity.value == "error" for v in violations),
+            "clean": not any(v.severity is Severity.ERROR for v in violations),
         },
     }
     if ratio_studies:

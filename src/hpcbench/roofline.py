@@ -23,7 +23,7 @@ concurrently without coordination.
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Optional, Sequence, Union
 
@@ -172,26 +172,28 @@ class RooflinePoint:
     """A workload step placed on the roofline.
 
     ``flops_total`` and ``comm_traffic`` are per step, summed over all
-    participants; ``coi`` is their quotient (infinite when there is no
-    traffic).  ``attained`` is the measured sustained FLOPS, when known.
+    participants.  ``attained`` is the measured sustained FLOPS, when
+    known.
     """
 
     label: str
     flops_total: float
     comm_traffic: float
-    coi: float
-    attained: Optional[float] = None
+    coi: float = field(init=False)
+    attained: Optional[float] = field(default=None, kw_only=True)
+
+    def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise SchemaError(
+                f"point label must be a string, got {self.label!r}")
+        if self.attained is not None:
+            _num(self.attained, "attained")
+        object.__setattr__(self, "coi", coi(self.flops_total, self.comm_traffic))
 
     @classmethod
     def from_traffic(cls, label: str, flops_total: float, comm_traffic: float,
                      attained: Optional[float] = None) -> "RooflinePoint":
-        if not isinstance(label, str):
-            raise SchemaError(f"point label must be a string, got {label!r}")
-        if attained is not None:
-            _num(attained, "attained")
-        return cls(label=label, flops_total=flops_total,
-                   comm_traffic=comm_traffic,
-                   coi=coi(flops_total, comm_traffic), attained=attained)
+        return cls(label, flops_total, comm_traffic, attained=attained)
 
 
 def coi(flops_total: float, comm_traffic: float) -> float:
@@ -383,18 +385,11 @@ def apply_whatif(point: RooflinePoint,
                  transform: Union[Compress, PrecisionShift]) -> RooflinePoint:
     """Apply a what-if transform, returning the transformed point."""
     if isinstance(transform, Compress):
-        if math.isinf(point.coi):
-            return replace(point, label=f"{point.label}+compress")
-        return replace(point,
-                       label=f"{point.label}+compress",
-                       comm_traffic=point.comm_traffic / transform.factor,
-                       coi=point.coi * transform.factor)
+        return replace(point, label=f"{point.label}+compress",
+                       comm_traffic=point.comm_traffic / transform.factor)
     if isinstance(transform, PrecisionShift):
-        new_coi = point.coi if math.isinf(point.coi) else point.coi * transform.batch_scale
-        return replace(point,
-                       label=f"{point.label}->{transform.mode.value}",
+        return replace(point, label=f"{point.label}->{transform.mode.value}",
                        flops_total=point.flops_total * transform.batch_scale,
-                       coi=new_coi,
                        attained=None)
     raise InvalidTransform(f"unknown transform {transform!r}")
 

@@ -24,8 +24,9 @@ One ``run_scenario`` sweep does its shared work once: one options object
 serves every scale without an ``options_by_scale`` override, each
 ``(scale, per-rank batch, options)`` step is costed once (so the
 single-node step is also the efficiency baseline of the larger scales),
-and each ``(skew_seed, negotiation_skew)`` offset sequence is drawn once
-and sliced per scale.  Nothing is kept between calls.
+and each ``(skew_seed, negotiation_skew)`` offset sequence is drawn once,
+as far as the largest scale reached, and sliced per scale.  Nothing is
+kept between calls.
 """
 
 import csv
@@ -35,6 +36,8 @@ import random
 import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -203,16 +206,16 @@ class PhaseTimeline(JsonCodec):
                 raise SchemaError(f"phase {name} must be non-negative")
 
     def total(self) -> float:
-        return (self.negotiation + self.wait_for_data
-                + self.wait_for_other_data + self.queuing
-                + self.memcpy_in + self.allreduce + self.memcpy_out)
+        # Left to right, as listed: ``sum`` compensates its rounding on
+        # Python 3.12+, which can move the last bit.
+        return reduce(add, [getattr(self, name) for name in _PHASES])
 
 
 # Read once: ``fields()`` rebuilds its tuple on every call.
 _PHASES = tuple(f.name for f in fields(PhaseTimeline))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationOptions(JsonCodec):
     """Scenario knobs the model never invents on its own.
 
@@ -222,7 +225,8 @@ class SimulationOptions(JsonCodec):
     ``negotiation_skew`` bounds the uniform per-rank readiness offsets
     (seconds) drawn from ``skew_seed``; ``gradient_tensors`` splits the
     gradient message into that many allreduce calls (latency scales,
-    volume does not).
+    volume does not).  Options compare and hash by identity, so a sweep
+    keys its steps by the options object.
     """
 
     achieved_quality: float
@@ -340,27 +344,20 @@ class _Sweep:
     """The work one ``simulate_training`` or ``run_scenario`` call shares
     across its scales.  Each call makes its own; nothing outlives it.
 
-    ``step`` costs each ``(scale, per-rank batch, options)`` step once,
+    ``step`` costs each ``(options, scale, per-rank batch)`` step once,
     so one scale's step is also the efficiency baseline of the larger
-    ones.  ``SimulationOptions`` holds a dict and cannot be hashed, so
-    steps are keyed by the options object's ``id``; the sweep keeps a
-    reference to every options object it keyed, so no ``id`` is reused
-    while it lives.  ``_skew`` draws each ``(skew_seed,
-    negotiation_skew)`` offset sequence once, for ``participants`` (the
-    call's largest scale), and slices it per scale: ``Random(seed)``
-    draws in sequence, so the first ``p`` offsets are those a fresh draw
-    of ``p`` gives.
+    ones.  ``_skew`` keeps each ``(skew_seed, negotiation_skew)`` pair's
+    ``Random(seed)`` and extends its offsets on demand, so the first
+    ``p`` offsets are those a fresh draw of ``p`` gives.
     """
 
     def __init__(self, system: SystemConfig, workload: WorkloadSpec,
                  precision: PrecisionMode, topology: TopologySpec,
-                 overlap: OverlapModel, participants: int):
+                 overlap: OverlapModel):
         self.system, self.workload, self.precision = system, workload, precision
         self.topology, self.overlap = topology, overlap
-        self.participants = participants
-        self._offsets: dict = {}  # (seed, skew) -> offsets
-        self._steps: dict = {}    # (id(options), scale, batch) -> step
-        self._held: dict = {}     # id(options) -> options
+        self._draws: dict = {}  # (seed, skew) -> (Random, offsets)
+        self._steps: dict = {}  # (options, scale, batch) -> step
 
     def _skew(self, participants: int,
               options: SimulationOptions) -> tuple[float, float]:
@@ -373,12 +370,12 @@ class _Sweep:
         skew, seed = options.negotiation_skew, options.skew_seed
         if skew == 0 or participants == 1:
             return 0.0, 0.0
-        drawn = self._offsets.get((seed, skew))
-        if drawn is None or len(drawn) < participants:
-            rng = random.Random(seed)
-            drawn = self._offsets[seed, skew] = [
-                rng.uniform(0.0, skew)
-                for _ in range(max(participants, self.participants))]
+        draw = self._draws.get((seed, skew))
+        if draw is None:
+            draw = self._draws[seed, skew] = (random.Random(seed), [])
+        rng, drawn = draw
+        drawn.extend(rng.uniform(0.0, skew)
+                     for _ in range(participants - len(drawn)))
         offsets = drawn[:participants]
         latest = max(offsets)
         negotiation = latest - min(offsets)
@@ -422,10 +419,9 @@ class _Sweep:
 
     def step(self, scale: int, per_rank_batch: int,
              options: SimulationOptions) -> StepBreakdown:
-        key = (id(options), scale, per_rank_batch)
+        key = (options, scale, per_rank_batch)
         step = self._steps.get(key)
         if step is None:
-            self._held[id(options)] = options
             step = self._steps[key] = self._cost(scale, per_rank_batch,
                                                  options)
         return step
@@ -504,8 +500,8 @@ def simulate_training(system: SystemConfig, workload: WorkloadSpec,
     gives each scale the same result.
     """
     precision = _coerce(PrecisionMode, precision, "precision")
-    return _Sweep(system, workload, precision, topology, overlap,
-                  scale).simulate(scale, global_batchsize, options)
+    return _Sweep(system, workload, precision, topology,
+                  overlap).simulate(scale, global_batchsize, options)
 
 
 def sweep_csv(results: Sequence[SimulationResult]) -> str:
@@ -565,7 +561,7 @@ def run_scenario(scenario, out_dir=None) -> list[SimulationResult]:
     _require(not unknown, f"options_by_scale keys name no swept scale: "
                           f"{', '.join(unknown)}")
 
-    sim = _Sweep(system, workload, precision, topology, overlap, max(sweep))
+    sim = _Sweep(system, workload, precision, topology, overlap)
     # Built on first use: when every scale has an override, the base
     # options alone need not be valid.
     shared = None

@@ -171,6 +171,18 @@ class TestExitCodes:
         for cls in classes:
             assert cls.exit_code == (1 if cls in internal else 3), cls
 
+    @pytest.mark.parametrize("command", ["validate", "score", "aggregate",
+                                         "rank", "report"])
+    def test_workload_without_store_is_refused(self, ranking_store, capsys,
+                                               command):
+        argv = [command, "--workload", "no_such_workload",
+                str(ranking_store["root"])]
+        if command in ("validate", "report"):
+            argv += ["--reference", str(ranking_store["reference"])]
+        assert run_cli(capsys, *argv) == (
+            3, "", "error: --workload needs --store: it names a store "
+                   "subtree\n")
+
     def test_missing_reference_file_is_internal_error(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "validate", str(tmp_path),
                                "--reference", str(tmp_path / "absent.json"))
@@ -470,6 +482,19 @@ class TestRooflineCommand:
         header = csv_path.read_text().splitlines()[0]
         assert header.startswith("coi,bound_flops")
         assert 'viewBox="0 0 960 540"' in svg_path.read_text()
+
+    @pytest.mark.parametrize("svg", ["roof.out", "sub/../roof.out"])
+    def test_one_path_for_both_outputs_is_refused(self, tmp_path, capsys,
+                                                   monkeypatch, svg):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "system.json").write_text(dumps(case_study_system()))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "roofline", "--system", "system.json",
+                                 "--out-csv", "roof.out", "--out-svg", svg)
+        assert (code, out) == (3, "")
+        assert err == (f"error: --out-csv and --out-svg both name {svg}; "
+                       f"give each its own file\n")
+        assert not (tmp_path / "roof.out").exists()
 
 
 def write_scenario(tmp_path):

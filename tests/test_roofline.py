@@ -119,6 +119,41 @@ class TestNumericInputs:
             RooflinePoint.from_traffic(**point)
 
 
+class TestPointDerivesItsCoi:
+    """A point computes its COI and checks its inputs however it is
+    built: directly, through ``from_traffic`` or by ``replace``."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"flops_total": math.nan},
+        {"comm_traffic": -1.0},
+        {"label": 5},
+        {"attained": math.inf},
+    ])
+    def test_direct_construction_refuses_as_from_traffic(self, kwargs):
+        point = {"label": "p", "flops_total": 1e9, "comm_traffic": 1e6,
+                 **kwargs}
+        with pytest.raises(SchemaError) as named:
+            RooflinePoint.from_traffic(**point)
+        with pytest.raises(SchemaError) as direct:
+            RooflinePoint(**point)
+        assert str(direct.value) == str(named.value)
+
+    @pytest.mark.parametrize("traffic", [3.0, 7e8, 0.0])
+    def test_replace_recomputes_coi(self, traffic):
+        point = RooflinePoint.from_traffic("p", 1e12, 1e9, attained=1e11)
+        moved = replace(point, comm_traffic=traffic)
+        assert moved.coi == coi(point.flops_total, traffic)
+        if traffic:
+            assert moved.coi == point.flops_total / traffic
+
+    def test_coi_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            RooflinePoint("p", 1.0, 1.0, -5.0)
+        with pytest.raises(TypeError):
+            RooflinePoint("p", 1.0, 1.0, coi=-5.0)
+        assert RooflinePoint("p", 1.0, 4.0, attained=2.0).coi == 0.25
+
+
 class TestRidgePoint:
     def test_single_node_case(self):
         assert ridge_point(120 * TERA, 300 * GIGA) == pytest.approx(
