@@ -72,7 +72,7 @@ def _load_runs(args) -> tuple[list[RunRecord], tuple]:
     --store a --select glob picks files by name before any is read;
     positional paths are read whole.  Either way the glob is matched
     against each parsed run id."""
-    if args.workload and not args.store:
+    if args.workload is not None and not args.store:
         raise SchemaError("--workload needs --store: it names a store subtree")
     store = Path(args.store, args.workload or "") if args.store else None
     listed = _json_files(store, args.select) if store and store.exists() else ()

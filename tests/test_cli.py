@@ -171,12 +171,12 @@ class TestExitCodes:
         for cls in classes:
             assert cls.exit_code == (1 if cls in internal else 3), cls
 
+    @pytest.mark.parametrize("workload", ["no_such_workload", ""])
     @pytest.mark.parametrize("command", ["validate", "score", "aggregate",
                                          "rank", "report"])
     def test_workload_without_store_is_refused(self, ranking_store, capsys,
-                                               command):
-        argv = [command, "--workload", "no_such_workload",
-                str(ranking_store["root"])]
+                                               command, workload):
+        argv = [command, "--workload", workload, str(ranking_store["root"])]
         if command in ("validate", "report"):
             argv += ["--reference", str(ranking_store["reference"])]
         assert run_cli(capsys, *argv) == (
