@@ -446,7 +446,8 @@ class TestSweepSharesWork:
             assert r.timeline == lone.timeline
             assert r.step == lone.step
 
-    @pytest.mark.parametrize("sweep", [[2, 4, 8, 16, 32, 64], [64, 8, 16, 2]])
+    @pytest.mark.parametrize("sweep", [[2, 4, 8, 16, 32, 64], [64, 8, 16, 2]],
+                             ids=["ascending", "unsorted"])
     def test_each_scale_equals_a_lone_simulation(self, ewa, sweep):
         doc = {**self.scenario(ewa), "sweep": sweep}
         self.assert_each_scale_is_lone(doc, run_scenario(doc))
