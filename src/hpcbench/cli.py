@@ -48,7 +48,7 @@ from .roofline import (
     build_model,
     export_plot,
 )
-from .store import _json_files, ingest
+from .store import _store_files, ingest
 
 __all__ = ["main"]
 
@@ -66,16 +66,17 @@ def _load_runs(args) -> tuple[list[RunRecord], tuple]:
     """Read the --store tree (or its --workload subtree) and the
     positional paths in one ``ingest`` call, so a run id that arrives
     twice is a duplicate, and print the diagnostics.  A missing store
-    reads as empty and is not created.
+    reads as empty and is not created; ``store._store_files`` refuses an
+    empty --store and a --workload that is not a safe name.
 
     The store keeps each run as ``<workload>/<run_id>.json``, so under
     --store a --select glob picks files by name before any is read;
     positional paths are read whole.  Either way the glob is matched
     against each parsed run id."""
-    if args.workload is not None and not args.store:
+    if args.workload is not None and args.store is None:
         raise SchemaError("--workload needs --store: it names a store subtree")
-    store = Path(args.store, args.workload or "") if args.store else None
-    listed = _json_files(store, args.select) if store and store.exists() else ()
+    listed = (() if args.store is None
+              else _store_files(args.store, args.workload, args.select))
     result = ingest(*args.runs, _listed=listed)
     for d in result.diagnostics:
         print(f"schema: {d.path}: {d.error}", file=sys.stderr)
@@ -121,6 +122,16 @@ def _emit_table(fmt: str, docs: list, columns) -> None:
         print("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
         for row in rows:
             print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+
+
+def _refuse_overwrite(outputs: dict, inputs: dict) -> None:
+    """Refuse an output (writer: path) that resolves to one of the
+    command's input files (flag: path), before anything is read."""
+    read = {Path(p).resolve(): (flag, p) for flag, p in inputs.items() if p}
+    for writer, path in outputs.items():
+        if path and (hit := read.get(Path(path).resolve())):
+            raise SchemaError(f"{writer} would write over the {hit[0]} file "
+                              f"{hit[1]}; give the output its own file")
 
 
 def _read_declaration(path: str) -> NineLayerDeclaration:
@@ -212,6 +223,9 @@ def _cmd_roofline(args) -> int:
             and Path(args.out_csv).resolve() == Path(args.out_svg).resolve()):
         raise SchemaError(f"--out-csv and --out-svg both name {args.out_svg}; "
                           f"give each its own file")
+    _refuse_overwrite({"--out-csv": args.out_csv, "--out-svg": args.out_svg},
+                      {"--system": args.system, "--ceilings": args.ceilings,
+                       "--points": args.points})
     system = loads(Path(args.system).read_bytes(), "system", path=args.system)
     ceilings = ()
     if args.ceilings:
@@ -254,13 +268,17 @@ def _cmd_report(args) -> int:
         raise SchemaError(f"--out {args.out} would be overwritten by the "
                           f"{twin_suffix} twin; give the {args.format} report "
                           f"another suffix")
+    # "." and "/" name no file and have no twin; writing --out fails first
+    out = Path(args.out or "")
+    twin = out.with_suffix(twin_suffix) if out.name else None
+    _refuse_overwrite({"--out": args.out, f"the {twin_suffix} twin of --out":
+                       twin}, {"--reference": args.reference})
     records = _runs(args, "report")
     agg = rules.aggregate_runs(records)
     doc = report_mod.emit_report(agg, _read_declaration(args.reference))
     text = doc.json() if args.format == "json" else doc.markdown
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        twin = Path(args.out).with_suffix(twin_suffix)
+        out.write_text(text, encoding="utf-8")
         twin.write_text(doc.json() if args.format != "json" else doc.markdown,
                         encoding="utf-8")
         print(f"wrote {args.out} and {twin}")

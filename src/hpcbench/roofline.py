@@ -222,9 +222,9 @@ def ridge_point(peak_flops: float, peak_band: float) -> float:
     return peak_flops / peak_band
 
 
-def _select(model: RooflineModel, selector: Union[str, None],
-            kind: CeilingKind, peak: float) -> float:
-    if selector is None or selector == PEAK:
+def _select(model: RooflineModel, selector: str, kind: CeilingKind,
+            peak: float) -> float:
+    if selector == PEAK:
         return peak
     c = model.ceiling(selector)
     if c.kind is not kind:
@@ -234,8 +234,8 @@ def _select(model: RooflineModel, selector: Union[str, None],
     return c.value
 
 
-def _roof(model: RooflineModel, compute_ceiling: Union[str, None] = PEAK,
-          comm_ceiling: Union[str, None] = PEAK) -> tuple[float, float]:
+def _roof(model: RooflineModel, compute_ceiling: str = PEAK,
+          comm_ceiling: str = PEAK) -> tuple[float, float]:
     """The (flat, band) pair the two ceiling selectors name."""
     return (_select(model, compute_ceiling, CeilingKind.COMPUTATION,
                     model.peak_flops),
@@ -244,13 +244,12 @@ def _roof(model: RooflineModel, compute_ceiling: Union[str, None] = PEAK,
 
 
 def attained_bound(model: RooflineModel, point_coi: float,
-                   compute_ceiling: Union[str, None] = PEAK,
-                   comm_ceiling: Union[str, None] = PEAK) -> float:
+                   compute_ceiling: str = PEAK, comm_ceiling: str = PEAK) -> float:
     """Attainable FLOPS at a COI: ``min(compute rate, bandwidth * COI)``.
 
-    Ceiling names select measured sub-peak bounds; ``PEAK`` (or None)
-    selects the theoretical peaks.  A COI of +inf returns the compute
-    term (flat roof); a negative or NaN COI is a SchemaError.
+    Ceiling names select measured sub-peak bounds; ``PEAK`` selects the
+    theoretical peaks.  A COI of +inf returns the compute term (flat
+    roof); a negative or NaN COI is a SchemaError.
     """
     flat, band = _roof(model, compute_ceiling, comm_ceiling)
     if not point_coi >= 0:

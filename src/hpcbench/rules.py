@@ -99,29 +99,31 @@ ALL_KEYS = None
 class LevelPolicy:
     """Which layers (and keys) a level opens to change."""
 
-    level: BenchLevel
     mutable_layers: Mapping[int, Optional[frozenset]]
 
     def allowed_keys(self, layer: int) -> Optional[frozenset]:
         """Keys changeable at ``layer``; ALL_KEYS if unrestricted, empty
         frozenset if the layer is immutable."""
-        if layer not in self.mutable_layers:
-            return frozenset()
-        return self.mutable_layers[layer]
+        return self.mutable_layers.get(layer, frozenset())
+
+    def forbidden(self, layer: int, keys) -> list[str]:
+        """The ``keys`` of ``layer`` this level does not open to change."""
+        allowed = self.allowed_keys(layer)
+        return [k for k in keys if allowed is not ALL_KEYS and k not in allowed]
 
 
 POLICIES: dict[BenchLevel, LevelPolicy] = {
-    BenchLevel.HARDWARE: LevelPolicy(BenchLevel.HARDWARE, {
+    BenchLevel.HARDWARE: LevelPolicy({
         1: ALL_KEYS, 2: ALL_KEYS, 3: ALL_KEYS, 4: ALL_KEYS,
         6: frozenset({"parallel_mode"}),
         8: frozenset({"batchsize", "lr_policy"}),
     }),
-    BenchLevel.SYSTEM: LevelPolicy(BenchLevel.SYSTEM, {
+    BenchLevel.SYSTEM: LevelPolicy({
         1: ALL_KEYS, 2: ALL_KEYS, 3: ALL_KEYS, 4: ALL_KEYS, 5: ALL_KEYS,
         6: frozenset({"parallel_mode"}),
         8: frozenset({"batchsize", "lr_policy"}),
     }),
-    BenchLevel.FREE: LevelPolicy(BenchLevel.FREE, {
+    BenchLevel.FREE: LevelPolicy({
         i: ALL_KEYS for i in range(1, 9)
     }),
 }
@@ -141,10 +143,18 @@ def _canon_layer(layer: Mapping) -> dict:
     return {k.strip(): _canon_value(k.strip(), v) for k, v in layer.items()}
 
 
-def _diff_keys(a: Mapping, b: Mapping) -> list[str]:
-    ca, cb = _canon_layer(a), _canon_layer(b)
-    keys = sorted(set(ca) | set(cb))
-    return [k for k in keys if ca.get(k) != cb.get(k)]
+def _layer_diffs(a: NineLayerDeclaration,
+                 b: NineLayerDeclaration) -> dict[int, list[str]]:
+    """``{layer: sorted keys whose canonical values differ}`` for each
+    layer where ``a`` and ``b`` differ, in ascending layer order."""
+    diffs = {}
+    for layer_idx, (la, lb) in enumerate(zip(a.layers, b.layers), 1):
+        ca, cb = _canon_layer(la), _canon_layer(lb)
+        keys = [k for k in sorted(ca.keys() | cb.keys())
+                if ca.get(k) != cb.get(k)]
+        if keys:
+            diffs[layer_idx] = keys
+    return diffs
 
 
 def _sync_violations(decl: NineLayerDeclaration) -> list[Violation]:
@@ -170,18 +180,12 @@ def validate_declaration(run: RunRecord,
         raise SchemaError("reference must be a NineLayerDeclaration")
     policy = POLICIES[run.level]
     violations = _sync_violations(decl)
-    for layer_idx in range(1, 10):
-        allowed = policy.allowed_keys(layer_idx)
-        if allowed is ALL_KEYS:
-            continue
-        for key in _diff_keys(decl.layer(layer_idx), reference.layer(layer_idx)):
-            if key in allowed:
-                continue
-            violations.append(Violation(
-                layer=layer_idx, key=key, severity=Severity.ERROR,
-                message=(f"layer {layer_idx} key {key!r} differs from the "
-                         f"reference and is immutable at "
-                         f"{run.level.value} level")))
+    for layer_idx, keys in _layer_diffs(decl, reference).items():
+        violations += [Violation(
+            layer=layer_idx, key=key, severity=Severity.ERROR,
+            message=(f"layer {layer_idx} key {key!r} differs from the "
+                     f"reference and is immutable at {run.level.value} level"))
+            for key in policy.forbidden(layer_idx, keys)]
     return violations
 
 
@@ -238,20 +242,12 @@ def check_equivalence(a: NineLayerDeclaration, b: NineLayerDeclaration,
     if ids[0] != ids[1] and level is not BenchLevel.FREE:
         raise IncomparableWorkloads(
             f"workload ids differ: {ids[0]!r} vs {ids[1]!r}")
-    layers: dict[int, LayerVerdict] = {}
-    differing: dict[int, tuple] = {}
-    for layer_idx in range(1, 10):
-        diff = _diff_keys(a.layer(layer_idx), b.layer(layer_idx))
-        if not diff:
-            layers[layer_idx] = LayerVerdict.EQUIVALENT
-            continue
-        differing[layer_idx] = tuple(diff)
-        allowed = policy.allowed_keys(layer_idx)
-        if allowed is ALL_KEYS or all(k in allowed for k in diff):
-            layers[layer_idx] = LayerVerdict.DIFFERS_ALLOWED
-        else:
-            layers[layer_idx] = LayerVerdict.DIFFERS_FORBIDDEN
-    return EquivalenceReport(level=level, layers=layers, differing_keys=differing)
+    diffs = _layer_diffs(a, b)
+    layers = {i: LayerVerdict.EQUIVALENT if i not in diffs
+              else LayerVerdict.DIFFERS_FORBIDDEN if policy.forbidden(i, diffs[i])
+              else LayerVerdict.DIFFERS_ALLOWED for i in range(1, 10)}
+    return EquivalenceReport(level=level, layers=layers, differing_keys={
+        i: tuple(keys) for i, keys in diffs.items()})
 
 
 class Decay(str, Enum):
@@ -269,17 +265,18 @@ _STEP_MILESTONES = (1 / 3, 2 / 3, 8 / 9)
 class LearningRateSchedule:
     """Epoch -> learning rate curve: linear warmup, then decay.
 
-    The warmup ramps linearly from the base rate to ``base_lr * k``
-    over ``[0, warmup_epochs)`` and the decay starts exactly at
-    ``base_lr * k``, so the curve is continuous at the boundary and
-    never exceeds ``base_lr * k``.
+    Linear scaling: when the batch grows by a factor ``k`` the base rate
+    is multiplied by ``k``.  The warmup ramps linearly from the base rate
+    to ``base_lr * k`` over ``[0, warmup_epochs)`` and the decay starts
+    exactly at ``base_lr * k``, so the curve is continuous at the
+    boundary and never exceeds ``base_lr * k``.
     """
 
     base_lr: float
     k: float
     warmup_epochs: int
     total_epochs: int
-    decay: Decay
+    decay: Decay = Decay.COSINE
 
     def __post_init__(self):
         object.__setattr__(self, "decay", _coerce(Decay, self.decay, "decay"))
@@ -315,18 +312,7 @@ class LearningRateSchedule:
         return [self.at(e) for e in range(self.total_epochs)]
 
 
-def lr_schedule(base_lr: float, k: float, warmup_epochs: int,
-                total_epochs: int,
-                decay: Decay = Decay.COSINE) -> LearningRateSchedule:
-    """Linear-scaling learning rate schedule with warmup.
-
-    When the batch grows by a factor ``k`` the base rate is multiplied
-    by ``k``; warmup ramps to that scaled rate before the decay takes
-    over.
-    """
-    return LearningRateSchedule(base_lr=base_lr, k=k,
-                                warmup_epochs=warmup_epochs,
-                                total_epochs=total_epochs, decay=decay)
+lr_schedule = LearningRateSchedule
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -438,13 +424,6 @@ class RepeatabilityReport:
     runs: tuple
 
 
-def _same_repetition(a: RunRecord, b: RunRecord) -> bool:
-    return (configuration_key(a) == configuration_key(b)
-            and a.level == b.level
-            and all(not _diff_keys(a.declaration.layer(i), b.declaration.layer(i))
-                    for i in range(1, 10)))
-
-
 def repeatability_report(runs: Sequence[RunRecord]) -> RepeatabilityReport:
     """Quantify run-to-run variation of identically configured trials.
 
@@ -456,7 +435,9 @@ def repeatability_report(runs: Sequence[RunRecord]) -> RepeatabilityReport:
         raise NotARepetition("need at least two trials")
     head = runs[0]
     for other in runs[1:]:
-        if not _same_repetition(head, other):
+        if (configuration_key(other) != configuration_key(head)
+                or other.level != head.level
+                or _layer_diffs(head.declaration, other.declaration)):
             raise NotARepetition(
                 f"run {other.run_id!r} is not configured like {head.run_id!r}")
     epochs = [r.epochs_to_quality for r in runs]

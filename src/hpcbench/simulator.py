@@ -34,7 +34,7 @@ import io
 import math
 import random
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
 from operator import add
@@ -50,6 +50,7 @@ from .core import (
     SystemConfig,
     WorkloadSpec,
     _coerce,
+    _field_order,
     _int,
     _is_mapping,
     _num,
@@ -201,18 +202,15 @@ class PhaseTimeline(JsonCodec):
     memcpy_out: float
 
     def __post_init__(self):
-        for name in _PHASES:
+        for name in _field_order(PhaseTimeline):
             if getattr(self, name) < 0:
                 raise SchemaError(f"phase {name} must be non-negative")
 
     def total(self) -> float:
         # Left to right, as listed: ``sum`` compensates its rounding on
         # Python 3.12+, which can move the last bit.
-        return reduce(add, [getattr(self, name) for name in _PHASES])
-
-
-# Read once: ``fields()`` rebuilds its tuple on every call.
-_PHASES = tuple(f.name for f in fields(PhaseTimeline))
+        return reduce(add, [getattr(self, name)
+                            for name in _field_order(PhaseTimeline)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,7 +278,6 @@ class StepBreakdown:
     memcpy_each: float
     allreduce_seconds: float
     message_bytes: float
-    participants: int
     bandwidth: float
 
 
@@ -414,8 +411,7 @@ class _Sweep:
             compute_time=compute, comm_processing=comm_processing,
             step_seconds=seconds, alpha=self.overlap.alpha,
             negotiation=negotiation, queuing=queuing, memcpy_each=memcpy_each,
-            allreduce_seconds=ar, message_bytes=message, participants=scale,
-            bandwidth=bandwidth)
+            allreduce_seconds=ar, message_bytes=message, bandwidth=bandwidth)
 
     def step(self, scale: int, per_rank_batch: int,
              options: SimulationOptions) -> StepBreakdown:

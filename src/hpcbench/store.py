@@ -137,6 +137,19 @@ def _check_name(value: str, what: str) -> None:
             f"(allowed: {_SAFE_NAME})")
 
 
+def _store_files(root, workload: Optional[str] = None,
+                 select: Optional[str] = None) -> list[str]:
+    """:func:`_json_files` of the store at ``root`` or of its ``workload``
+    directory (none if it does not exist), ``select`` as ``stem_glob``.
+    An empty ``root`` or an unsafe ``workload`` is a :class:`SchemaError`."""
+    if not os.fspath(root):
+        raise SchemaError("store root is an empty path")
+    if workload is not None:
+        _check_name(workload, "workload name")
+    tree = Path(root, workload or "")
+    return _json_files(tree, select) if tree.exists() else []
+
+
 def _write_atomic(target: Path, text: str) -> None:
     """Replace ``target`` with ``text`` via a hidden, fsynced temporary
     file beside it; on failure the temporary file is removed.  The
@@ -168,8 +181,8 @@ def ingest(*paths, _listed: Iterable[str] = ()) -> IngestResult:
     validated once per call.  Each file is read once,
     as bytes; one that is not strict UTF-8 is a ``parse`` diagnostic.
 
-    ``_listed`` is private to the CLI: file names a :func:`_json_files`
-    call already listed, read as given and before ``paths``.
+    ``_listed`` is private to ``load_all`` and the CLI: the files a
+    :func:`_store_files` call listed, read as given and before ``paths``.
     """
     records: list[RunRecord] = []
     diagnostics: list[Diagnostic] = []
@@ -348,7 +361,4 @@ class ResultsStore:
 
     def load_all(self, workload: Optional[str] = None) -> IngestResult:
         """Ingest the whole store, optionally one workload subtree."""
-        base = self.root / workload if workload else self.root
-        if not base.exists():
-            return IngestResult(records=(), diagnostics=())
-        return ingest(base)
+        return ingest(_listed=_store_files(self.root, workload))

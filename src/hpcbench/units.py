@@ -28,21 +28,16 @@ def si_scaled(value: float) -> tuple[float, str]:
     return value, ""
 
 
-def fmt_flops(value: float, digits: int = 2) -> str:
-    scaled, prefix = si_scaled(value)
-    return f"{scaled:.{digits}f} {prefix}FLOPS"
+def fmt_flops(value: float) -> str:
+    return "{:.2f} {}FLOPS".format(*si_scaled(value))
 
 
-def fmt_bytes_per_s(value: float, digits: int = 2) -> str:
-    scaled, prefix = si_scaled(value)
-    return f"{scaled:.{digits}f} {prefix}B/s"
+def fmt_bytes_per_s(value: float) -> str:
+    return "{:.2f} {}B/s".format(*si_scaled(value))
 
 
-def fmt_seconds(value: float, digits: int = 2) -> str:
-    if value >= 3600:
-        return f"{value / 3600:.{digits}f} h"
-    if value >= 60:
-        return f"{value / 60:.{digits}f} min"
-    if value >= 1:
-        return f"{value:.{digits}f} s"
-    return f"{value * 1e3:.{digits}f} ms"
+def fmt_seconds(value: float) -> str:
+    for size, unit in ((3600, "h"), (60, "min"), (1, "s")):
+        if value >= size:
+            return f"{value / size:.2f} {unit}"
+    return f"{value * 1e3:.2f} ms"

@@ -106,6 +106,29 @@ class TestPipeline:
         assert list(tmp_path.iterdir()) == []
 
 
+    @pytest.mark.parametrize("fmt, out, writer", [
+        ("json", "ref.json", "--out"),
+        ("md", "ref.md", "the .json twin of --out"),
+        ("json", "sub/../ref.json", "--out")])
+    def test_report_over_its_reference_is_refused(
+            self, ranking_store, tmp_path, capsys, monkeypatch, fmt, out,
+            writer):
+        reference = ranking_store["reference"].read_bytes()
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "ref.json").write_bytes(reference)
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run_cli(
+            capsys, "report", "--store", str(ranking_store["root"]),
+            "--select", "ic-mixed-64-*", "--format", fmt,
+            "--reference", "ref.json", "--out", out)
+        assert (code, stdout) == (3, "")
+        assert err == (f"error: {writer} would write over the --reference "
+                       "file ref.json; give the output its own file\n")
+        assert (tmp_path / "ref.json").read_bytes() == reference
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ref.json",
+                                                              "sub"]
+
+
 class TestJsonContract:
     """``--format json`` stdout is exactly one JSON document."""
 
@@ -241,6 +264,26 @@ class TestRecordInputs:
         assert (code, json.loads(out)) == (0, [])
         assert not (tmp_path / "absent").exists()
 
+    @pytest.mark.parametrize("command", ["aggregate", "rank", "report"])
+    def test_empty_selection_is_refused(self, ranking_store, capsys, command):
+        argv = [command, "--store", str(ranking_store["root"]),
+                "--select", "no-such-run-*"]
+        if command == "report":
+            argv += ["--reference", str(ranking_store["reference"])]
+        assert run_cli(capsys, *argv) == (
+            3, "", f"error: no runs to {command}\n")
+
+    def test_validate_prints_the_runs_beside_a_rejected_input(
+            self, ranking_store, tmp_path, capsys):
+        run = ranking_store["runs"][0]
+        (tmp_path / "good.json").write_text(dumps(run))
+        (tmp_path / "bad.json").write_text("{nope")
+        code, out, err = run_cli(capsys, "validate", str(tmp_path),
+                                 "--reference", str(ranking_store["reference"]))
+        assert (code, out) == (3, f"{run.run_id}: clean\n")
+        assert err.startswith(f"schema: {tmp_path / 'bad.json'}: ")
+        assert err.count("\n") == 1
+
     def test_unselected_aggregate_on_mixed_store_is_refused(
             self, ranking_store, capsys):
         code, out, err = run_cli(capsys, "aggregate", "--store",
@@ -361,7 +404,6 @@ class TestSelection:
             return json_files(path, stem_glob)
 
         monkeypatch.setattr(store_mod, "_json_files", counted)
-        monkeypatch.setattr(cli, "_json_files", counted)
         code, out, _ = run_cli(capsys, "aggregate", "--store", str(store),
                                "--select", "ic-mixed-64-*", "--format", "json")
         assert (code, json.loads(out)["runs"]) == (0, 10)
@@ -397,6 +439,40 @@ class TestSelection:
         assert messages == [
             "training must be synchronous SGD, declared True",
             "training must be synchronous SGD, declared 1"]
+
+
+class TestStoreSelection:
+    """--store and --workload name a store tree and one workload
+    directory inside it, never a path outside it."""
+
+    @pytest.fixture
+    def trees(self, ranking_runs, tmp_path):
+        """``S`` is a store of one run; ``T/x`` holds another run."""
+        runs, _ = ranking_runs
+        ResultsStore(tmp_path / "S").add(runs[0])
+        (tmp_path / "T" / "x").mkdir(parents=True)
+        (tmp_path / "T" / "x" / "r.json").write_text(dumps(runs[1]))
+        return tmp_path
+
+    @pytest.mark.parametrize("workload", ["../T/x", "..", "", ".hidden"])
+    def test_unsafe_workload_is_refused(self, trees, capsys, workload):
+        assert run_cli(capsys, "score", "--store", str(trees / "S"),
+                       "--workload", workload) == (
+            3, "", f"error: workload name {workload!r} is not a safe path "
+                   "component (allowed: [A-Za-z0-9][A-Za-z0-9._-]*)\n")
+
+    def test_empty_store_is_refused(self, trees, capsys):
+        assert run_cli(capsys, "score", "--store", "", str(trees / "T")) == (
+            3, "", "error: store root is an empty path\n")
+
+    def test_workload_names_a_directory_of_the_store(self, trees,
+                                                     ranking_runs, capsys):
+        code, out, err = run_cli(capsys, "score", "--store", str(trees / "S"),
+                                 "--workload", "image_classification",
+                                 "--format", "csv")
+        assert (code, err) == (0, "")
+        assert [line.split(",")[0] for line in out.splitlines()] == [
+            "run_id", ranking_runs[0][0].run_id]
 
 
 class TestPathSpelling:
@@ -495,6 +571,39 @@ class TestRooflineCommand:
         assert err == (f"error: --out-csv and --out-svg both name {svg}; "
                        f"give each its own file\n")
         assert not (tmp_path / "roof.out").exists()
+
+
+    def test_without_outputs_prints_the_csv(self, tmp_path, capsys):
+        (tmp_path / "system.json").write_text(dumps(case_study_system()))
+        code, out, err = run_cli(capsys, "roofline", "--system",
+                                 str(tmp_path / "system.json"))
+        assert (code, err) == (0, "")
+        head, *rows = out.splitlines()
+        assert head.startswith("mode: distributed  peak ")
+        assert rows[0] == "coi,bound_flops"
+        assert len(rows) == 257
+
+    @pytest.mark.parametrize("out_flag", ["--out-csv", "--out-svg"])
+    @pytest.mark.parametrize("in_flag", ["--system", "--ceilings", "--points"])
+    def test_output_over_an_input_is_refused(self, tmp_path, capsys,
+                                             monkeypatch, in_flag, out_flag):
+        (tmp_path / "sub").mkdir()
+        files = {"--system": dumps(case_study_system()),
+                 "--ceilings": "[]", "--points": "[]"}
+        argv = ["roofline"]
+        for flag, text in files.items():
+            name = flag[2:] + ".json"
+            (tmp_path / name).write_text(text)
+            argv += [flag, name]
+        monkeypatch.chdir(tmp_path)
+        same = f"sub/../{in_flag[2:]}.json"
+        code, out, err = run_cli(capsys, *argv, out_flag, same)
+        assert (code, out) == (3, "")
+        assert err == (f"error: {out_flag} would write over the {in_flag} "
+                       f"file {in_flag[2:]}.json; give the output its own "
+                       "file\n")
+        assert {p.name: p.read_text() for p in tmp_path.glob("*.json")} == {
+            flag[2:] + ".json": text for flag, text in files.items()}
 
 
 def write_scenario(tmp_path):

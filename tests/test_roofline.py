@@ -398,6 +398,11 @@ class TestValidatePoint:
                                            attained=bound * 1.04)
         assert validate_point(model, point, tolerance=0.05)
 
+    def test_point_without_attained_passes_silently(self, recwarn):
+        point = RooflinePoint.from_traffic("unmeasured", 1e12, 1e10)
+        assert validate_point(single_node_model(), point, tolerance=0.0)
+        assert len(recwarn) == 0
+
 
 class TestExportPlot:
     def test_csv_kinks_at_ridge(self):
@@ -495,6 +500,15 @@ class TestExportPlot:
         ridge_x = float(ridge_line.group(1))
         ewa_x, ic_x = map(float, circles)
         assert ewa_x < ridge_x < ic_x
+
+    def test_infinite_coi_point_sits_at_the_right_edge(self):
+        import re
+        model = single_node_model()
+        point = RooflinePoint.from_traffic("local", 1e12, 0.0)
+        assert point.coi == INFINITE_COI
+        svg = export_plot(model, [point]).svg
+        assert re.findall(r'<circle cx="([\d.]+)"', svg) == ["920.0"]
+        assert '<text x="928.0"' in svg
 
     def test_nothing_to_plot(self):
         with pytest.raises(NothingToPlot):

@@ -20,6 +20,7 @@ from hpcbench.presets import (
     image_classification_workload,
     reference_declaration,
 )
+from hpcbench.report import emit_report
 from hpcbench.rules import (
     Decay,
     LayerVerdict,
@@ -298,6 +299,19 @@ class TestAggregateRuns:
         copy = replace(runs[0], wall_time=2 * runs[0].wall_time)
         with pytest.raises(DuplicateRun, match="'ic-fp32-16-r00' appears twice"):
             aggregate_runs(runs + [copy])
+
+    @pytest.mark.parametrize("epochs", [[10], [12, 10]])
+    def test_one_or_two_trials_drop_nothing(self, ewa, epochs):
+        workload = replace(ewa, min_runs=len(epochs))
+        runs = runs_with_epochs(epochs, workload)
+        agg = aggregate_runs(runs)
+        assert agg.dropped == ()
+        assert [r.run_id for r in agg.retained_runs] == sorted(
+            (r.run_id for r in runs), key=lambda i: epochs[int(i[1:])])
+        assert agg.mean_scores["epochs_to_quality"] == statistics.fmean(epochs)
+        doc = emit_report(agg, reference_declaration(workload))
+        assert doc.data["scores"]["aggregate"]["dropped_run_ids"] == []
+        assert "dropped extremes: none" in doc.markdown
 
     def test_per_watt_mean_present_when_power_recorded(self, ewa):
         runs = runs_with_epochs([10, 11, 12, 13, 14], ewa, power=2500.0)

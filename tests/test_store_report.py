@@ -309,6 +309,33 @@ class TestStore:
         result = store.load_all(workload="extreme_weather")
         assert [r.run_id for r in result.records] == ["e1"]
 
+    def test_load_all_of_a_missing_workload_is_empty(self, tmp_path):
+        store = ResultsStore(tmp_path)
+        store.add(make_run(run_id="e1"))
+        result = store.load_all(workload="image_classification")
+        assert (result.records, result.diagnostics) == ((), ())
+        assert not (tmp_path / "image_classification").exists()
+
+    @pytest.mark.parametrize("workload", ["../outside", "a/b", ".hidden", ""])
+    def test_load_all_refuses_an_unsafe_workload(self, tmp_path, workload):
+        (tmp_path / "outside").mkdir()
+        (tmp_path / "outside" / "r1.json").write_text(dumps(make_run()))
+        store = ResultsStore(tmp_path / "store")
+        with pytest.raises(SchemaError, match=f"workload name {workload!r} "
+                                              "is not a safe path component"):
+            store.load_all(workload=workload)
+
+    def test_index_refuses_a_run_id_stored_twice(self, tmp_path):
+        store = ResultsStore(tmp_path)
+        path = store.add(make_run())
+        (tmp_path / "copy").mkdir()
+        (tmp_path / "copy" / "other.json").write_bytes(path.read_bytes())
+        with pytest.raises(DuplicateRun) as err:
+            store.index()
+        assert str(err.value) == (
+            f"run_id 'r1' appears in both {tmp_path / 'copy' / 'other.json'} "
+            f"and {path}")
+
 
 def _tree(root: Path) -> dict:
     return {str(p.relative_to(root)): p.read_bytes()
