@@ -105,7 +105,6 @@ class TestPipeline:
                             "report another suffix\n")
         assert list(tmp_path.iterdir()) == []
 
-
     @pytest.mark.parametrize("fmt, out, writer", [
         ("json", "ref.json", "--out"),
         ("md", "ref.md", "the .json twin of --out"),
@@ -571,7 +570,6 @@ class TestRooflineCommand:
         assert err == (f"error: --out-csv and --out-svg both name {svg}; "
                        f"give each its own file\n")
         assert not (tmp_path / "roof.out").exists()
-
 
     def test_without_outputs_prints_the_csv(self, tmp_path, capsys):
         (tmp_path / "system.json").write_text(dumps(case_study_system()))
