@@ -21,6 +21,7 @@ import fnmatch
 import functools
 import sys
 from pathlib import Path
+from typing import Optional
 
 from . import report as report_mod
 from . import rules, simulator
@@ -48,7 +49,7 @@ from .roofline import (
     build_model,
     export_plot,
 )
-from .store import _store_files, ingest
+from .store import _path_files, _store_files, ingest
 
 __all__ = ["main"]
 
@@ -62,12 +63,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_SCHEMA, f"{self.prog}: error: {message}\n")
 
 
-def _load_runs(args) -> tuple[list[RunRecord], tuple]:
+def _load_runs(args, outputs: Optional[dict] = None
+               ) -> tuple[list[RunRecord], tuple]:
     """Read the --store tree (or its --workload subtree) and the
     positional paths in one ``ingest`` call, so a run id that arrives
     twice is a duplicate, and print the diagnostics.  A missing store
     reads as empty and is not created; ``store._store_files`` refuses an
-    empty --store and a --workload that is not a safe name.
+    empty --store and a --workload that is not a safe name or is a
+    symbolic link.  An output (writer: path) that would write over one
+    of the listed files is refused before any is read.
 
     The store keeps each run as ``<workload>/<run_id>.json``, so under
     --store a --select glob picks files by name before any is read;
@@ -75,9 +79,12 @@ def _load_runs(args) -> tuple[list[RunRecord], tuple]:
     against each parsed run id."""
     if args.workload is not None and args.store is None:
         raise SchemaError("--workload needs --store: it names a store subtree")
-    listed = (() if args.store is None
-              else _store_files(args.store, args.workload, args.select))
-    result = ingest(*args.runs, _listed=listed)
+    listed = (_store_files(args.store, args.workload, args.select)
+              if args.store is not None else [])
+    listed += _path_files(args.runs)
+    if outputs:
+        _refuse_overwrite(outputs, (("run", f) for f in listed))
+    result = ingest(_listed=listed)
     for d in result.diagnostics:
         print(f"schema: {d.path}: {d.error}", file=sys.stderr)
     records = [r for r in result.records
@@ -85,10 +92,10 @@ def _load_runs(args) -> tuple[list[RunRecord], tuple]:
     return records, result.diagnostics
 
 
-def _runs(args, verb: str) -> list[RunRecord]:
-    """The selected runs; a rejected input or an empty selection stops
-    the command with exit 3."""
-    records, diagnostics = _load_runs(args)
+def _runs(args, verb: str, outputs: Optional[dict] = None) -> list[RunRecord]:
+    """The selected runs (``outputs`` as in :func:`_load_runs`); a
+    rejected input or an empty selection stops the command with exit 3."""
+    records, diagnostics = _load_runs(args, outputs)
     if diagnostics:
         raise SchemaError(f"{len(diagnostics)} input document(s) rejected; "
                           f"refusing to {verb}")
@@ -124,10 +131,13 @@ def _emit_table(fmt: str, docs: list, columns) -> None:
             print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
 
 
-def _refuse_overwrite(outputs: dict, inputs: dict) -> None:
+def _refuse_overwrite(outputs: dict, inputs) -> None:
     """Refuse an output (writer: path) that resolves to one of the
-    command's input files (flag: path), before anything is read."""
-    read = {Path(p).resolve(): (flag, p) for flag, p in inputs.items() if p}
+    command's input files, ``(what, path)`` pairs, before anything is
+    read."""
+    if not any(outputs.values()):
+        return
+    read = {Path(p).resolve(): (what, p) for what, p in inputs if p}
     for writer, path in outputs.items():
         if path and (hit := read.get(Path(path).resolve())):
             raise SchemaError(f"{writer} would write over the {hit[0]} file "
@@ -224,8 +234,8 @@ def _cmd_roofline(args) -> int:
         raise SchemaError(f"--out-csv and --out-svg both name {args.out_svg}; "
                           f"give each its own file")
     _refuse_overwrite({"--out-csv": args.out_csv, "--out-svg": args.out_svg},
-                      {"--system": args.system, "--ceilings": args.ceilings,
-                       "--points": args.points})
+                      [("--system", args.system), ("--ceilings", args.ceilings),
+                       ("--points", args.points)])
     system = loads(Path(args.system).read_bytes(), "system", path=args.system)
     ceilings = ()
     if args.ceilings:
@@ -271,9 +281,9 @@ def _cmd_report(args) -> int:
     # "." and "/" name no file and have no twin; writing --out fails first
     out = Path(args.out or "")
     twin = out.with_suffix(twin_suffix) if out.name else None
-    _refuse_overwrite({"--out": args.out, f"the {twin_suffix} twin of --out":
-                       twin}, {"--reference": args.reference})
-    records = _runs(args, "report")
+    outputs = {"--out": args.out, f"the {twin_suffix} twin of --out": twin}
+    _refuse_overwrite(outputs, [("--reference", args.reference)])
+    records = _runs(args, "report", outputs)
     agg = rules.aggregate_runs(records)
     doc = report_mod.emit_report(agg, _read_declaration(args.reference))
     text = doc.json() if args.format == "json" else doc.markdown

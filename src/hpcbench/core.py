@@ -16,8 +16,12 @@ object when the JSON texts of those sub-documents are byte-identical
 within that call, so that ``1``, ``1.0`` and ``true`` (or ``0.0`` and
 ``-0.0``) never share an object.  Such a text is parsed and validated
 once per call; a later copy is matched by its text and not parsed again
-(:func:`_walk_run`).  ``json.loads`` still judges every document that
-this path refuses, so a refused file gets the same error either way.
+(:func:`_walk_run`).  A declaration's layers are plain dicts, so its
+object is never shared: a declaration text whose layers hold scalars
+alone is also parsed and validated once per call, and each record gets
+its own copy with new layer dicts (:func:`_interned`).  ``json.loads``
+still judges every document that this path refuses, so a refused file
+gets the same error either way.
 """
 
 from collections.abc import Mapping
@@ -391,6 +395,14 @@ class NineLayerDeclaration(JsonCodec):
             frozen.append(dict(layer))
         object.__setattr__(self, "layers", tuple(frozen))
 
+    def _copy(self) -> "NineLayerDeclaration":
+        """A new declaration with a new dict of each layer, not checked
+        again.  Layer values are shared, so the copy is independent only
+        of a declaration whose layers hold scalars alone."""
+        copy = object.__new__(NineLayerDeclaration)
+        object.__setattr__(copy, "layers", tuple(map(dict.copy, self.layers)))
+        return copy
+
     def layer(self, index: int) -> Mapping[str, Any]:
         """Return layer ``index`` (1-based)."""
         _require(1 <= index <= 9, "layer index must be in [1, 9]")
@@ -465,7 +477,9 @@ class RunRecord(JsonCodec):
 
 def _interned(table: dict, key: tuple, raw: Any):
     """The object ``table`` holds under ``key``, ``(cls, text)``; built
-    as ``cls.from_dict(raw)`` and stored if the key is new.
+    as ``cls.from_dict(raw)`` and stored if the key is new.  A
+    :class:`NineLayerDeclaration` is not shared: each call returns a copy
+    of the stored one (:meth:`NineLayerDeclaration._copy`).
 
     ``text`` is the exact JSON text of the sub-document and ``raw`` its
     decoded value.  One text always decodes to one value, so the key is
@@ -478,7 +492,7 @@ def _interned(table: dict, key: tuple, raw: Any):
     obj = table.get(key)
     if obj is None:
         obj = table[key] = key[0].from_dict(raw)
-    return obj
+    return obj._copy() if key[0] is NineLayerDeclaration else obj
 
 
 def derive_peaks(system: SystemConfig,
@@ -526,8 +540,8 @@ def _parse_json(text, path=None):
 #: The run fields one ingest may share between records, by JSON key.
 _SHARED = {"workload": WorkloadSpec, "system": SystemConfig}
 
-#: How many table entries, most recently used first, a shared value is
-#: compared with before it is parsed.
+#: How many table entries of the class a value is built as, most
+#: recently used first, the value is compared with before it is parsed.
 _PROBES = 4
 
 _scan_once = json.JSONDecoder().scan_once
@@ -547,28 +561,78 @@ def _matchers() -> tuple:
             re.compile(ws + r"\}" + ws + r"\Z").match)
 
 
+def _scalar_layers(value) -> bool:
+    """Whether decoded JSON ``value`` holds a ``layers`` list of objects
+    whose values are all scalars, so that a copy of each layer dict
+    shares nothing mutable."""
+    layers = value.get("layers")
+    return type(layers) is list and all(
+        type(layer) is dict and _SCALARS.issuperset(map(type, layer.values()))
+        for layer in layers)
+
+
+def _member_value(s: str, i: int, name: str, cls, table: dict, data: dict,
+                  keys: dict, deep: int) -> Optional[int]:
+    """Where the value of member ``name`` at ``s[i:]`` ends, with
+    ``data[name]`` and ``keys[name]`` set (see :func:`_walk_run`); ``None``
+    if the value nests too deep to parse on its own.  ``cls`` is the
+    class the value is shared as, or ``None``: then it is only parsed.
+
+    A value to share is first compared with the texts of the last
+    :data:`_PROBES` entries of ``cls`` in ``table``: an object's JSON
+    text is prefix-free, so a text that starts at the value is the whole
+    value, which is then neither parsed nor kept (``data[name]`` is
+    ``None``).  Any other object, a declaration only if its layers hold
+    scalars alone (:func:`_scalar_layers`), is parsed and keyed by its
+    text; if the table holds that key, the entry moves to the end, as
+    the most recently used."""
+    if cls is not None:
+        probes = _PROBES
+        for entry in reversed(table):
+            if entry[0] is cls:
+                if s.startswith(entry[1], i):
+                    data[name], keys[name] = None, entry
+                    return i + len(entry[1])
+                probes -= 1
+                if not probes:
+                    break
+    data[name], end = _scan_once(s, i)
+    if end - i > deep and (s.count("{", i, end) + s.count("[", i, end)) > deep:
+        return None
+    value = data[name]
+    if cls is not None and type(value) is dict and (
+            cls is not NineLayerDeclaration or _scalar_layers(value)):
+        key = keys[name] = (cls, s[i:end])
+        if key in table:
+            table[key] = table.pop(key)
+    else:
+        keys.pop(name, None)
+    return end
+
+
 def _walk_run(text, table: dict) -> Optional[tuple]:
     """``(data, keys)`` of a run record document, for
     ``RunRecord.from_dict(data, _intern=table, _keys=keys)``, or ``None``
     where ``json.loads`` must judge the document.
 
     The top-level object is walked with ``json``'s own scanner, one
-    member at a time, until both shared keys (:data:`_SHARED`) hold
-    objects; the members after them are parsed by ``json.loads`` as one
-    object.  A shared value is first compared with the texts of the last
-    :data:`_PROBES` entries of ``table``: an object's JSON text is
-    prefix-free, so a text that starts at the value is the whole value,
-    which is then neither parsed nor kept (``data`` holds ``None`` for
-    it, and ``keys`` its table key).  Any other object at a shared key is
-    parsed and keyed by its text; if the table holds that key, the entry
-    moves to the end, as the most recently used.  The last of duplicate
-    keys wins, as in ``json.loads``.
+    member at a time (:func:`_member_value`), until both shared keys
+    (:data:`_SHARED`) hold objects.  Then the first ``"declaration"``
+    after them is found by its text.  The members before it must parse
+    as one object, which they do only if that text is a top-level key
+    (not one inside a nested value or a string), and the member pattern
+    must match the key at the comma before it.  Its value is taken as a
+    shared value is, as a :class:`NineLayerDeclaration`; the members
+    after it are parsed as one object.  With no ``"declaration"`` text
+    after the shared keys, all the members after them are parsed as one
+    object.  The last of duplicate keys wins, as in ``json.loads``.
 
     ``None`` is returned for whatever the walk does not accept: bytes
     that are not UTF-8, a document that is not one object, a key with an
-    escape, a key among the members parsed as one object that an earlier
-    member has, and any JSON error.  So is a member value parsed on its
-    own that holds more ``{`` and ``[`` than a quarter of the recursion
+    escape, a ``"declaration"`` text that is not a top-level key, a key
+    among the members parsed as one object that a member walked before
+    has, and any JSON error.  So is a member value parsed on its own
+    that holds more ``{`` and ``[`` than a quarter of the recursion
     limit: ``json.loads`` would parse it a few frames deeper and might
     give up on its nesting.  The members parsed as one object are parsed
     by ``json.loads`` at the depth it would parse them at, so they nest
@@ -582,42 +646,40 @@ def _walk_run(text, table: dict) -> Optional[tuple]:
             return None
         data, keys = {}, {}
         deep = sys.getrecursionlimit() // 4
-        while True:
-            name, i = m[1], m.end()
-            cls = _SHARED.get(name)
-            key = None
-            if cls is not None:
-                probes = _PROBES
-                for entry in reversed(table):
-                    if entry[0] is cls and s.startswith(entry[1], i):
-                        key = entry
-                        break
-                    probes -= 1
-                    if not probes:
-                        break
-            if key is not None:
-                data[name], keys[name] = None, key
-                end = i + len(key[1])
-            else:
-                data[name], end = _scan_once(s, i)
-                if end - i > deep and (s.count("{", i, end)
-                                       + s.count("[", i, end)) > deep:
-                    return None
-                if cls is not None and type(data[name]) is dict:
-                    key = keys[name] = (cls, s[i:end])
-                    if key in table:
-                        table[key] = table.pop(key)
-                elif cls is not None:
-                    keys.pop(name, None)
+        while len(keys) < len(_SHARED):
+            end = _member_value(s, m.end(), m[1], _SHARED.get(m[1]), table,
+                                data, keys, deep)
+            if end is None:
+                return None
             m = member(s, end)
             if m is None:
                 return (data, keys) if closing(s, end) else None
-            if len(keys) == len(_SHARED):
-                rest = json.loads("{" + s[m.start(1) - 1:])
-                if not data.keys().isdisjoint(rest.keys()):
+        start = m.start(1) - 1  # the opening quote of the next key
+        at = s.find('"declaration"', start)
+        if at < 0:
+            rest = json.loads("{" + s[start:])
+        else:
+            if at == start:
+                rest = {}
+            else:
+                comma = s.rfind(",", start, at)
+                m = member(s, comma) if comma > start else None
+                if m is None or m.start(1) - 1 != at:
                     return None
-                rest.update(data)
-                return rest, keys
+                rest = json.loads("{" + s[start:comma] + "}")
+            end = _member_value(s, m.end(), "declaration",
+                                NineLayerDeclaration, table, data, keys, deep)
+            if end is None:
+                return None
+            m = member(s, end)
+            if m is not None:
+                rest.update(json.loads("{" + s[m.start(1) - 1:]))
+            elif not closing(s, end):
+                return None
+        if not data.keys().isdisjoint(rest.keys()):
+            return None
+        rest.update(data)
+        return rest, keys
     except (StopIteration, ValueError, RecursionError):
         return None
 
@@ -630,8 +692,10 @@ def loads(text, kind: str, path=None, *, _intern: Optional[dict] = None):
     ``_intern`` is private to :func:`~hpcbench.store.ingest`, which
     passes one fresh table per call so that its ``run`` records share
     the ``system``/``workload`` objects of byte-identical sub-documents
-    (see :func:`_walk_run`); ``json.loads`` still judges every document
-    the walk does not accept, so each refusal is the same.
+    and build each record's declaration by copying the one parsed from
+    the same text (see :func:`_walk_run`); ``json.loads`` still judges
+    every document the walk does not accept, so each refusal is the
+    same.
     """
     if _intern is not None and kind == "run":
         walked = _walk_run(text, _intern)

@@ -137,17 +137,33 @@ def _check_name(value: str, what: str) -> None:
             f"(allowed: {_SAFE_NAME})")
 
 
+def _store_root(root) -> Path:
+    """``Path(root)``; an empty ``root``, which ``Path`` would read as the
+    working directory, is a :class:`SchemaError`."""
+    if not os.fspath(root):
+        raise SchemaError("store root is an empty path")
+    return Path(root)
+
+
 def _store_files(root, workload: Optional[str] = None,
                  select: Optional[str] = None) -> list[str]:
     """:func:`_json_files` of the store at ``root`` or of its ``workload``
     directory (none if it does not exist), ``select`` as ``stem_glob``.
-    An empty ``root`` or an unsafe ``workload`` is a :class:`SchemaError`."""
-    if not os.fspath(root):
-        raise SchemaError("store root is an empty path")
+    An empty ``root``, an unsafe ``workload`` and a ``workload`` directory
+    that is a symbolic link (which a read of the whole store skips) are a
+    :class:`SchemaError`."""
+    tree = _store_root(root)
     if workload is not None:
         _check_name(workload, "workload name")
-    tree = Path(root, workload or "")
+        tree = tree / workload
+        if tree.is_symlink():
+            raise SchemaError(f"workload directory {tree} is a symbolic link")
     return _json_files(tree, select) if tree.exists() else []
+
+
+def _path_files(paths: Iterable) -> list[str]:
+    """:func:`_json_files` of each of ``paths``, in the order given."""
+    return [f for path in paths for f in _json_files(Path(path))]
 
 
 def _write_atomic(target: Path, text: str) -> None:
@@ -178,18 +194,21 @@ def ingest(*paths, _listed: Iterable[str] = ()) -> IngestResult:
     is a ``duplicate run_id`` diagnostic and the first copy is kept.
     ``system`` or ``workload`` sub-documents whose JSON text is
     byte-identical share one (frozen) object, parsed, built and
-    validated once per call.  Each file is read once,
-    as bytes; one that is not strict UTF-8 is a ``parse`` diagnostic.
+    validated once per call.  A ``declaration`` text whose layers hold
+    scalars alone is parsed and validated once per call too, but every
+    record gets its own copy, with its own layer dicts.  Each file is
+    read once, as bytes; one that is not strict UTF-8 is a ``parse``
+    diagnostic.
 
-    ``_listed`` is private to ``load_all`` and the CLI: the files a
-    :func:`_store_files` call listed, read as given and before ``paths``.
+    ``_listed`` is private to ``load_all`` and the CLI: files that
+    :func:`_store_files` or :func:`_path_files` listed, read as given and
+    before ``paths``.
     """
     records: list[RunRecord] = []
     diagnostics: list[Diagnostic] = []
     seen: dict[str, str] = {}
     intern: dict = {}
-    for name in chain(_listed, (f for path in paths
-                                for f in _json_files(Path(path)))):
+    for name in chain(_listed, _path_files(paths)):
         try:
             record = loads(_read(name), "run", path=name,
                            _intern=intern)
@@ -216,7 +235,7 @@ class ResultsStore:
     LOCK_NAME = ".lock"
 
     def __init__(self, root):
-        self.root = Path(root)
+        self.root = _store_root(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._holding = False
 

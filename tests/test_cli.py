@@ -127,6 +127,35 @@ class TestPipeline:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ref.json",
                                                               "sub"]
 
+    @pytest.mark.parametrize("fmt, out, writer, source", [
+        ("json", "R/ic-mixed-64-r00.json", "--out", "positional"),
+        ("md", "R/ic-mixed-64-r00.md", "the .json twin of --out", "positional"),
+        ("json", "R/sub/../ic-mixed-64-r03.json", "--out", "positional"),
+        ("json", "S/image_classification/ic-mixed-64-r00.json", "--out",
+         "store")])
+    def test_report_over_a_run_file_it_reads_is_refused(
+            self, ranking_store, tmp_path, capsys, monkeypatch, fmt, out,
+            writer, source):
+        runs = [r for r in ranking_store["runs"]
+                if r.run_id.startswith("ic-mixed-64-")]
+        (tmp_path / "R" / "sub").mkdir(parents=True)
+        for run in runs:
+            (tmp_path / "R" / f"{run.run_id}.json").write_text(dumps(run))
+        ResultsStore(tmp_path / "S").add_all(runs)
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*.json")}
+        monkeypatch.chdir(tmp_path)
+        inputs = ["R"] if source == "positional" else ["--store", "S"]
+        code, stdout, err = run_cli(
+            capsys, "report", *inputs, "--select", "ic-mixed-64-*",
+            "--format", fmt, "--reference", str(ranking_store["reference"]),
+            "--out", out)
+        hit = str(Path(out).with_suffix(".json")).replace("sub/../", "")
+        assert (code, stdout) == (3, "")
+        assert err == (f"error: {writer} would write over the run file "
+                       f"{hit}; give the output its own file\n")
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*.json")} == before
+        assert not list(tmp_path.rglob("*.md"))
+
 
 class TestJsonContract:
     """``--format json`` stdout is exactly one JSON document."""
@@ -459,6 +488,16 @@ class TestStoreSelection:
                        "--workload", workload) == (
             3, "", f"error: workload name {workload!r} is not a safe path "
                    "component (allowed: [A-Za-z0-9][A-Za-z0-9._-]*)\n")
+
+    def test_workload_link_is_refused(self, trees, capsys):
+        # a read of the whole store skips the link, so --workload may not
+        # follow it out of the store
+        (trees / "S" / "link").symlink_to(trees / "T" / "x",
+                                         target_is_directory=True)
+        assert run_cli(capsys, "score", "--store", str(trees / "S"),
+                       "--workload", "link") == (
+            3, "", f"error: workload directory {trees / 'S' / 'link'} is a "
+                   "symbolic link\n")
 
     def test_empty_store_is_refused(self, trees, capsys):
         assert run_cli(capsys, "score", "--store", "", str(trees / "T")) == (

@@ -4,6 +4,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hpcbench import core
 from hpcbench.core import (
     AcceleratorSpec,
     BenchLevel,
@@ -262,6 +263,22 @@ class TestInterning:
             parsed.append(loads(texts[-1], "run", _intern=table))
         assert len({id(run.system) for run in parsed}) == len(values)
         assert [json.dumps(run.to_dict()) for run in parsed] == texts
+
+    def test_each_declaration_text_is_built_once(self, monkeypatch):
+        texts = []
+        for i in range(2 * core._PROBES + 1):
+            doc = json.loads(_RECORD)
+            doc["declaration"]["layers"][4]["framework"] = f"tf-{i}"
+            texts.append(json.dumps(doc, indent=2))
+        table = {}
+        first = [loads(text, "run", _intern=table) for text in texts]
+        assert len(table) == 2 + len(texts)
+        built = []
+        monkeypatch.setattr(NineLayerDeclaration, "__post_init__",
+                            lambda self: built.append(self))
+        again = [loads(text, "run", _intern=table) for text in texts]
+        assert (built, again) == ([], first)
+        assert len(table) == 2 + len(texts)
 
     def test_invalid_sub_document_is_never_stored(self):
         doc = json.loads(dumps(make_run()))
@@ -523,3 +540,110 @@ class TestSharedParse:
         for text in ("[]", "1", "", " ", "{}", '{"run_id": "r1"}',
                      bytearray(_RECORD.encode("utf-8"))):
             _same(text, table)
+
+    @pytest.mark.parametrize("where", ["first", "before-system", "last"])
+    def test_declaration_anywhere(self, where):
+        order = [key for key in _DOC if key != "declaration"]
+        at = {"first": 0, "before-system": order.index("system"),
+              "last": len(order)}[where]
+        order.insert(at, "declaration")
+        text = json.dumps({key: _DOC[key] for key in order}, indent=2)
+        table = _seeded()
+        _same(text, table)
+        assert loads(text, "run", _intern=table) == make_run()
+
+    @pytest.mark.parametrize("first_at", ["start", "in-place"])
+    @pytest.mark.parametrize("valid", ["first", "last"])
+    def test_repeated_declaration(self, valid, first_at):
+        good, bad = _sub_text("declaration"), '{"layers": [{}, {}]}'
+        first, last = (good, bad) if valid == "first" else (bad, good)
+        text = _RECORD.replace(good, first, 1)
+        if first_at == "start":
+            text = (text[0] + '"declaration": ' + first + ","
+                    + text[1:].replace('"declaration": ' + first + ",", "", 1))
+        text = text[:-1].rstrip() + ',\n  "declaration": ' + last + "}"
+        assert text.count('"declaration"') == 2
+        for table in ({}, _seeded()):
+            _same(text, table)
+            if valid == "last":
+                assert loads(text, "run", _intern=table) == make_run()
+            else:
+                with pytest.raises(SchemaError, match="exactly nine layers"):
+                    loads(text, "run", _intern=table)
+
+    @pytest.mark.parametrize("earlier", [
+        '"level": "declaration"',
+        '"level": {"a": 1, "declaration": ' + _sub_text("declaration") + "}",
+        '"level": ["declaration", 1]',
+        '"level": [1, "declaration"]',
+    ], ids=["string", "nested-object", "list-first", "list-later"])
+    def test_declaration_text_before_the_key(self, earlier):
+        # an earlier "level", which the record's own "level" overrides,
+        # holds the key's text; and the same text as the record's level
+        at = _RECORD.index('\n  "scale"')
+        valid = _RECORD[:at] + " " + earlier + "," + _RECORD[at:]
+        refused = _RECORD.replace('"level": "hardware"', earlier, 1)
+        for table in ({}, _seeded()):
+            _same(valid, table)
+            assert loads(valid, "run", _intern=table) == make_run()
+            _same(refused, table)
+            with pytest.raises(SchemaError):
+                loads(refused, "run", _intern=table)
+
+    @pytest.mark.parametrize("last", [False, True], ids=["only", "repeated"])
+    def test_escaped_declaration_key(self, last):
+        table = _seeded()
+        if last:
+            text = (_RECORD[:-1].rstrip() + ',\n  "\\u0064eclaration": '
+                    + '{"layers": []}}')
+        else:
+            text = _RECORD.replace('"declaration"', '"\\u0064eclaration"', 1)
+        _same(text, table)
+        if last:
+            with pytest.raises(SchemaError, match="exactly nine layers"):
+                loads(text, "run", _intern=table)
+        else:
+            assert loads(text, "run", _intern=table) == make_run()
+
+    @pytest.mark.parametrize("value", ["3", "[]", "null", '"x"', "{}"])
+    def test_declaration_not_an_object(self, value):
+        text = _RECORD.replace(_sub_text("declaration"), value, 1)
+        for table in ({}, _seeded()):
+            _same(text, table)
+            with pytest.raises(SchemaError):
+                loads(text, "run", _intern=table)
+
+    def test_many_declaration_texts_in_one_table(self):
+        # more declaration texts than probes: workload and system are
+        # still matched by their texts
+        texts = []
+        for i in range(2 * core._PROBES + 1):
+            doc = json.loads(_RECORD)
+            doc["declaration"]["layers"][4]["framework"] = f"tf-{i}"
+            texts.append(json.dumps(doc, indent=2))
+        table = _seeded()
+        first = loads(_RECORD, "run", _intern=table)
+        for text in texts + texts:
+            _same(text, table)
+            data, _ = core._walk_run(text, table)
+            assert data["workload"] is None and data["system"] is None
+            record = loads(text, "run", _intern=table)
+            assert record.system is first.system
+            assert record.workload is first.workload
+
+    @pytest.mark.parametrize("nested", [False, True], ids=["scalars", "list"])
+    def test_records_from_one_text_share_no_layer(self, nested):
+        doc = json.loads(_RECORD)
+        if nested:
+            doc["declaration"]["layers"][7]["schedule"] = [1, 2]
+        text = json.dumps(doc, indent=2)
+        table = {}
+        a, b = (loads(text, "run", _intern=table) for _ in range(2))
+        assert a.declaration is not b.declaration
+        assert all(x is not y for x, y in zip(a.declaration.layers,
+                                               b.declaration.layers))
+        a.declaration.layers[4]["framework"] = "changed"
+        if nested:
+            a.declaration.layers[7]["schedule"].append(3)
+        assert b == loads(text, "run")
+        assert loads(text, "run", _intern=table) == loads(text, "run")

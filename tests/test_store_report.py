@@ -325,6 +325,23 @@ class TestStore:
                                               "is not a safe path component"):
             store.load_all(workload=workload)
 
+    def test_load_all_refuses_a_workload_link(self, tmp_path):
+        (tmp_path / "outside").mkdir()
+        (tmp_path / "outside" / "r1.json").write_text(dumps(make_run()))
+        store = ResultsStore(tmp_path / "store")
+        (tmp_path / "store" / "link").symlink_to(tmp_path / "outside",
+                                                 target_is_directory=True)
+        assert store.load_all().records == ()
+        with pytest.raises(SchemaError, match="^workload directory .*link is "
+                                              "a symbolic link$"):
+            store.load_all(workload="link")
+
+    def test_empty_root_is_refused(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SchemaError, match="^store root is an empty path$"):
+            ResultsStore("")
+        assert list(tmp_path.iterdir()) == []
+
     def test_index_refuses_a_run_id_stored_twice(self, tmp_path):
         store = ResultsStore(tmp_path)
         path = store.add(make_run())
@@ -559,6 +576,8 @@ class TestIngest:
         a, b = result.records
         assert a.system is b.system and a.workload is b.workload
         assert a.declaration is not b.declaration
+        assert all(x is not y for x, y in zip(a.declaration.layers,
+                                               b.declaration.layers))
         per_file = tuple(loads(f.read_text(), "run")
                          for f in sorted(tmp_path.glob("*.json")))
         assert result == IngestResult(records=per_file, diagnostics=())
