@@ -659,9 +659,8 @@ def _walk_run(text, table: dict) -> Optional[tuple]:
         if at < 0:
             rest = json.loads("{" + s[start:])
         else:
-            if at == start:
-                rest = {}
-            else:
+            rest = {}
+            if at > start:
                 comma = s.rfind(",", start, at)
                 m = member(s, comma) if comma > start else None
                 if m is None or m.start(1) - 1 != at:
