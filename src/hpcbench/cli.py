@@ -20,6 +20,7 @@ import csv
 import fnmatch
 import functools
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -49,7 +50,7 @@ from .roofline import (
     build_model,
     export_plot,
 )
-from .store import _path_files, _store_files, ingest
+from .store import _path_files, _read, _refuse_overwrite, _store_files, ingest
 
 __all__ = ["main"]
 
@@ -63,15 +64,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_SCHEMA, f"{self.prog}: error: {message}\n")
 
 
-def _load_runs(args, outputs: Optional[dict] = None
+def _load_runs(args, outputs=(), inputs=(), shared: Optional[str] = None
                ) -> tuple[list[RunRecord], tuple]:
     """Read the --store tree (or its --workload subtree) and the
     positional paths in one ``ingest`` call, so a run id that arrives
     twice is a duplicate, and print the diagnostics.  A missing store
     reads as empty and is not created; ``store._store_files`` refuses an
     empty --store and a --workload that is not a safe name or is a
-    symbolic link.  An output (writer: path) that would write over one
-    of the listed files is refused before any is read.
+    symbolic link.  The command's ``(writer, path)`` outputs are checked
+    against its other ``inputs`` and the listed files by
+    ``store._refuse_overwrite`` (``shared`` as there) before any is read.
 
     The store keeps each run as ``<workload>/<run_id>.json``, so under
     --store a --select glob picks files by name before any is read;
@@ -82,8 +84,8 @@ def _load_runs(args, outputs: Optional[dict] = None
     listed = (_store_files(args.store, args.workload, args.select)
               if args.store is not None else [])
     listed += _path_files(args.runs)
-    if outputs:
-        _refuse_overwrite(outputs, (("run", f) for f in listed))
+    _refuse_overwrite(outputs, chain(inputs, (("run", f) for f in listed)),
+                      shared)
     result = ingest(_listed=listed)
     for d in result.diagnostics:
         print(f"schema: {d.path}: {d.error}", file=sys.stderr)
@@ -92,10 +94,11 @@ def _load_runs(args, outputs: Optional[dict] = None
     return records, result.diagnostics
 
 
-def _runs(args, verb: str, outputs: Optional[dict] = None) -> list[RunRecord]:
-    """The selected runs (``outputs`` as in :func:`_load_runs`); a
-    rejected input or an empty selection stops the command with exit 3."""
-    records, diagnostics = _load_runs(args, outputs)
+def _runs(args, verb: str, **guard) -> list[RunRecord]:
+    """The selected runs (``guard``: the ``outputs``, ``inputs`` and
+    ``shared`` of :func:`_load_runs`); a rejected input or an empty
+    selection stops the command with exit 3."""
+    records, diagnostics = _load_runs(args, **guard)
     if diagnostics:
         raise SchemaError(f"{len(diagnostics)} input document(s) rejected; "
                           f"refusing to {verb}")
@@ -131,21 +134,8 @@ def _emit_table(fmt: str, docs: list, columns) -> None:
             print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
 
 
-def _refuse_overwrite(outputs: dict, inputs) -> None:
-    """Refuse an output (writer: path) that resolves to one of the
-    command's input files, ``(what, path)`` pairs, before anything is
-    read."""
-    if not any(outputs.values()):
-        return
-    read = {Path(p).resolve(): (what, p) for what, p in inputs if p}
-    for writer, path in outputs.items():
-        if path and (hit := read.get(Path(path).resolve())):
-            raise SchemaError(f"{writer} would write over the {hit[0]} file "
-                              f"{hit[1]}; give the output its own file")
-
-
 def _read_declaration(path: str) -> NineLayerDeclaration:
-    return loads(Path(path).read_bytes(), "declaration", path=path)
+    return loads(_read(path), "declaration", path=path)
 
 
 def _cmd_validate(args) -> int:
@@ -222,21 +212,17 @@ def _cmd_rank(args) -> int:
 
 
 def _read_array(path: str, what: str) -> list:
-    raw = _parse_json(Path(path).read_bytes(), path)
+    raw = _parse_json(_read(path), path)
     if not isinstance(raw, list):
         raise SchemaError(f"{what} file {path} must hold a JSON array")
     return raw
 
 
 def _cmd_roofline(args) -> int:
-    if (args.out_csv and args.out_svg
-            and Path(args.out_csv).resolve() == Path(args.out_svg).resolve()):
-        raise SchemaError(f"--out-csv and --out-svg both name {args.out_svg}; "
-                          f"give each its own file")
-    _refuse_overwrite({"--out-csv": args.out_csv, "--out-svg": args.out_svg},
+    _refuse_overwrite([("--out-csv", args.out_csv), ("--out-svg", args.out_svg)],
                       [("--system", args.system), ("--ceilings", args.ceilings),
                        ("--points", args.points)])
-    system = loads(Path(args.system).read_bytes(), "system", path=args.system)
+    system = loads(_read(args.system), "system", path=args.system)
     ceilings = ()
     if args.ceilings:
         ceilings = tuple(Ceiling.from_dict(c)
@@ -274,16 +260,16 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_report(args) -> int:
     twin_suffix = ".md" if args.format == "json" else ".json"
-    if args.out and Path(args.out).suffix == twin_suffix:
-        raise SchemaError(f"--out {args.out} would be overwritten by the "
-                          f"{twin_suffix} twin; give the {args.format} report "
-                          f"another suffix")
     # "." and "/" name no file and have no twin; writing --out fails first
     out = Path(args.out or "")
     twin = out.with_suffix(twin_suffix) if out.name else None
-    outputs = {"--out": args.out, f"the {twin_suffix} twin of --out": twin}
-    _refuse_overwrite(outputs, [("--reference", args.reference)])
-    records = _runs(args, "report", outputs)
+    records = _runs(
+        args, "report",
+        outputs=[("--out", args.out),
+                 (f"the {twin_suffix} twin of --out", twin)],
+        inputs=[("--reference", args.reference)],
+        shared=f"--out {args.out} would be overwritten by the {twin_suffix} "
+               f"twin; give the {args.format} report another suffix")
     agg = rules.aggregate_runs(records)
     doc = report_mod.emit_report(agg, _read_declaration(args.reference))
     text = doc.json() if args.format == "json" else doc.markdown

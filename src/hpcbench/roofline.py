@@ -453,15 +453,14 @@ def export_plot(model: Optional[RooflineModel],
             _roof(model, compute_ceiling=c.name)
             if c.kind is CeilingKind.COMPUTATION
             else _roof(model, comm_ceiling=c.name))
-    columns = {name: [min(flat, band * x) for x in grid]
+    # min(flat, band * x), without a call per value
+    columns = {name: [b if (b := band * x) < flat else flat for x in grid]
                for name, (flat, band) in roofs.items()}
 
-    header = ["coi"] + list(columns)
-    rows = [",".join(header)]
-    for i, x in enumerate(grid):
-        rows.append(",".join([f"{x:.9g}"] + [f"{columns[k][i]:.9g}"
-                                             for k in columns]))
-    csv_text = "\n".join(rows) + "\n"
+    row = ",".join(["%.9g"] * (len(columns) + 1))
+    csv_text = "\n".join([",".join(["coi", *columns]),
+                          *[row % r for r in zip(grid, *columns.values())],
+                          ""])
 
     svg_text = _render_svg(model, points, grid, columns)
     return PlotArtifact(csv=csv_text, svg=svg_text)
@@ -489,7 +488,7 @@ def _render_svg(model, points, grid, columns) -> str:
             ys.append(p.attained)
     x_lo, x_hi = min(xs), max(xs) * 1.2
     y_hi = max(ys) * 2.0
-    y_lo = min(v for v in ys if v > 0) / 2.0
+    y_lo = min(filter((0.0).__lt__, ys)) / 2.0
 
     lx_lo, lx_hi = math.log10(x_lo), math.log10(x_hi)
     ly_lo, ly_hi = math.log10(y_lo), math.log10(y_hi)
@@ -537,11 +536,16 @@ def _render_svg(model, points, grid, columns) -> str:
                f'transform="rotate(-90 20 {_VIEW_H / 2:.0f})">'
                'attainable FLOPS</text>')
 
-    # roof first (thick), then ceilings, all over the same x positions
-    grid_x = [f"{sx(x):.1f}" for x in grid]
+    # roof first (thick), then ceilings, all over the same x positions;
+    # sx and sy are inlined over the series, to the same arithmetic
+    log10 = math.log10
+    x_span, y_span = lx_hi - lx_lo, ly_hi - ly_lo
+    grid_x = ["%.1f" % (_MARGIN_L + (log10(x) - lx_lo) / x_span * plot_w)
+              for x in grid]
     for idx, (name, series) in enumerate(columns.items()):
-        pts = " ".join(f"{px},{sy(max(v, y_lo)):.1f}"
-                       for px, v in zip(grid_x, series))
+        ys = [_MARGIN_T + (ly_hi - log10(y_lo if y_lo > v else v)) / y_span
+              * plot_h for v in series]
+        pts = " ".join(map("{},{:.1f}".format, grid_x, ys))
         color = "#111111" if idx == 0 else _SERIES_COLORS[idx % len(_SERIES_COLORS)]
         width = 2.5 if idx == 0 else 1.2
         dash = "" if idx == 0 else ' stroke-dasharray="6,4"'

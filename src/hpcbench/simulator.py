@@ -60,7 +60,7 @@ from .core import (
 )
 from .errors import BatchShardError, DegenerateBand, SchemaError
 from .metrics import throughput_flops
-from .store import _check_name, _write_atomic
+from .store import _check_name, _read, _refuse_overwrite, _write_atomic
 
 __all__ = [
     "TopologyKind",
@@ -529,10 +529,12 @@ def run_scenario(scenario, out_dir=None) -> list[SimulationResult]:
     by a swept scale as a string.  Any other key there or at the top level
     is a :class:`SchemaError`.  When ``out_dir`` is set, one run record JSON
     per scale plus a ``sweep.csv`` summary are written there; run ids must
-    be safe file names, as in the results store.
+    be safe file names, as in the results store, and no file written may
+    be the scenario file (``store._refuse_overwrite``).
     """
+    path = None
     if not isinstance(scenario, dict):
-        scenario = _parse_json(Path(scenario).read_bytes(), scenario)
+        path, scenario = scenario, _parse_json(_read(scenario), scenario)
     if (not _is_mapping(scenario) or "system" not in scenario
             or "workload" not in scenario):
         raise SchemaError("scenario needs 'system' and 'workload' objects")
@@ -584,6 +586,10 @@ def run_scenario(scenario, out_dir=None) -> list[SimulationResult]:
                     f"write run_id {r.run.run_id!r} under {out_dir}")
             written[r.run.run_id] = r.run.scale
         out = Path(out_dir)
+        _refuse_overwrite(
+            [*((f"the scale {r.run.scale} record", out / f"{r.run.run_id}.json")
+               for r in results), ("the sweep summary", out / "sweep.csv")],
+            [("scenario", path)])
         out.mkdir(parents=True, exist_ok=True)
         for r in results:
             _write_atomic(out / f"{r.run.run_id}.json", dumps(r.run) + "\n")

@@ -112,18 +112,58 @@ def _json_files(path: Path, stem_glob: Optional[str] = None) -> list[str]:
 
 def _read(path) -> bytes:
     """The bytes of the file at ``path``: one ``os.open``, ``os.read``
-    until end of file, one ``os.close``.  An error names the file, as
-    ``open`` would."""
-    fd = os.open(path, os.O_RDONLY)
+    until end of file, one ``os.close``.  An error names the file as
+    ``Path(path).read_bytes()`` would: ``./x.json`` is spelled
+    ``x.json``, and a directory is "Is a directory"."""
     try:
-        chunks = []
-        while chunk := os.read(fd, _READ_SIZE):
-            chunks.append(chunk)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            chunks = []
+            while chunk := os.read(fd, _READ_SIZE):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
     except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
-    finally:
-        os.close(fd)
+        raise OSError(exc.errno, exc.strerror, str(Path(path))) from None
     return chunks[0] if len(chunks) == 1 else b"".join(chunks)
+
+
+def _refuse_overwrite(outputs, inputs, shared: Optional[str] = None) -> None:
+    """The one output rule: a command never writes over a file it reads,
+    or writes one file twice.  ``outputs`` are the ``(writer, path)``
+    pairs a command will write and ``inputs`` the ``(what, path)`` pairs
+    it reads; a pair whose path is None or empty is skipped.  Before
+    anything is written, an output that is an input, or that two outputs
+    share, is a :class:`SchemaError` (``shared``, when given, is the
+    message for the second case).
+
+    An existing file is compared by ``(st_dev, st_ino)``, so a hard link,
+    a symbolic link and a second spelling of one path are the same file;
+    a path that names no file yet is compared by its resolved path.  Each
+    path is stat'ed once and resolved at most once.  With no outputs,
+    nothing is stat'ed."""
+    outputs = [(writer, path) for writer, path in outputs if path]
+    if not outputs:
+        return
+
+    def identity(path):
+        try:
+            st = os.stat(path)
+        except OSError:
+            return Path(path).resolve()
+        return st.st_dev, st.st_ino
+
+    written = {}
+    for writer, path in outputs:
+        key = identity(path)
+        if first := written.get(key):
+            raise SchemaError(shared or f"{first} and {writer} both name "
+                                        f"{path}; give each its own file")
+        written[key] = writer
+    for what, path in inputs:
+        if path and (writer := written.get(identity(path))):
+            raise SchemaError(f"{writer} would write over the {what} file "
+                              f"{path}; give the output its own file")
 
 
 # Compiled on first use through the ``re`` cache, not at import.

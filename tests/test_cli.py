@@ -1,7 +1,9 @@
 import json
+import os
 import shutil
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -669,6 +671,107 @@ class TestSimulateCommand:
         assert [r["scale"] for r in rows] == [8, 16]
         assert (out_dir / "sweep.csv").exists()
         assert len(list(out_dir.glob("sim-*.json"))) == 2
+
+
+class TestOneOutputRule:
+    """No command writes over a file it reads, or writes one file twice,
+    whatever names the file goes by: a hard link is the same file."""
+
+    def test_roofline_output_over_a_hard_link_of_its_system(
+            self, tmp_path, capsys, monkeypatch):
+        text = dumps(case_study_system())
+        (tmp_path / "sys.json").write_text(text)
+        os.link(tmp_path / "sys.json", tmp_path / "hl.json")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, "roofline", "--system", "sys.json",
+                       "--out-csv", "hl.json") == (
+            3, "", "error: --out-csv would write over the --system file "
+                   "sys.json; give the output its own file\n")
+        assert (tmp_path / "sys.json").read_text() == text
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["hl.json",
+                                                              "sys.json"]
+
+    def test_roofline_outputs_that_are_one_file(self, tmp_path, capsys,
+                                                monkeypatch):
+        (tmp_path / "sys.json").write_text(dumps(case_study_system()))
+        (tmp_path / "roof.csv").write_text("old")
+        os.link(tmp_path / "roof.csv", tmp_path / "roof.svg")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, "roofline", "--system", "sys.json",
+                       "--out-csv", "roof.csv", "--out-svg", "roof.svg") == (
+            3, "", "error: --out-csv and --out-svg both name roof.svg; "
+                   "give each its own file\n")
+        assert (tmp_path / "roof.csv").read_text() == "old"
+
+    @pytest.mark.parametrize("fmt, writer", [
+        ("json", "--out"), ("md", "the .json twin of --out")])
+    def test_report_out_over_a_hard_link_of_a_run_file(
+            self, ranking_store, tmp_path, capsys, monkeypatch, fmt, writer):
+        (tmp_path / "R").mkdir()
+        for run in ranking_store["runs"]:
+            if run.run_id.startswith("ic-mixed-64-"):
+                (tmp_path / "R" / f"{run.run_id}.json").write_text(dumps(run))
+        os.link(tmp_path / "R" / "ic-mixed-64-r00.json", tmp_path / "hl.json")
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*.json")}
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run_cli(
+            capsys, "report", "R", "--select", "ic-mixed-64-*",
+            "--format", fmt, "--reference", str(ranking_store["reference"]),
+            "--out", f"hl.{fmt}")
+        assert (code, stdout) == (3, "")
+        assert err == (f"error: {writer} would write over the run file "
+                       "R/ic-mixed-64-r00.json; give the output its own "
+                       "file\n")
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*.json")} == before
+        assert not list(tmp_path.rglob("*.md"))
+
+    def test_simulate_out_over_its_own_scenario(self, tmp_path, capsys):
+        (tmp_path / "d").mkdir()
+        scenario = write_scenario(tmp_path).rename(tmp_path / "d" / "sweep.csv")
+        text = scenario.read_text()
+        assert run_cli(capsys, "simulate", str(scenario),
+                       "--out", str(tmp_path / "d")) == (
+            3, "", "error: the sweep summary would write over the scenario "
+                   f"file {scenario}; give the output its own file\n")
+        assert scenario.read_text() == text
+        assert list((tmp_path / "d").iterdir()) == [scenario]
+
+    def test_no_output_reads_and_stats_nothing(self, monkeypatch):
+        def inputs():
+            raise AssertionError("inputs listed")
+            yield
+
+        def stat(*args, **kwargs):
+            raise AssertionError("stat called")
+
+        monkeypatch.setattr(store_mod, "os", SimpleNamespace(stat=stat))
+        store_mod._refuse_overwrite([("--out", None), ("twin", "")], inputs())
+
+
+class TestSingleFileInputs:
+    """A missing input or a directory fails with the message
+    ``Path.read_bytes`` gives, naming the path as ``Path`` spells it."""
+
+    @pytest.mark.parametrize("name, message", [
+        ("./absent.json", "[Errno 2] No such file or directory: 'absent.json'"),
+        ("./sub/", "[Errno 21] Is a directory: 'sub'")])
+    @pytest.mark.parametrize("argv", [
+        ["roofline", "--system", "{}"],
+        ["roofline", "--system", "sys.json", "--ceilings", "{}"],
+        ["roofline", "--system", "sys.json", "--points", "{}"],
+        ["simulate", "{}"],
+        ["validate", "--reference", "{}"],
+        ["rank", "R", "--reference", "{}"]])
+    def test_message(self, ranking_store, tmp_path, capsys, monkeypatch,
+                     argv, name, message):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "R").mkdir()
+        run = ranking_store["runs"][0]
+        (tmp_path / "R" / f"{run.run_id}.json").write_text(dumps(run))
+        (tmp_path / "sys.json").write_text(dumps(case_study_system()))
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, *(a.format(name) for a in argv)) == (
+            1, "", f"error: {message}\n")
 
 
 class TestParserReuse:

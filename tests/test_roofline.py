@@ -514,6 +514,65 @@ class TestExportPlot:
         with pytest.raises(NothingToPlot):
             export_plot(None)
 
+    # SHA-256 of the CSV and SVG of each preset case-study model at mixed
+    # precision with its measured ceilings, over three points: one
+    # measured, one unmeasured (drawn on its roof) and one with zero
+    # traffic (infinite COI, drawn at the right edge).
+    GOLDEN = {
+        RooflineMode.SINGLE_NODE: (
+            single_node_ceilings,
+            "fe6d1dfc7f9c754a25ed339436141c7927f8a9ff2c7c177f81b9cbee48e38a13",
+            "731002c0802f24d986b98f260b0117b25def8f7a6b9ec36655ebc9001f2cd1c8"),
+        RooflineMode.DISTRIBUTED: (
+            distributed_ceilings,
+            "6657cd867006d338f92f9e6ce02dcb2049aba24bc45d25375c2d6eafb24450fc",
+            "feb7038c258870f9eb4d867255227f8bf1fe6a4da05a9c4fe37356024ee41180"),
+    }
+
+    @pytest.mark.parametrize("mode", list(GOLDEN))
+    def test_golden_bytes(self, mode):
+        import hashlib
+        ceilings, csv_sha, svg_sha = self.GOLDEN[mode]
+        model = build_model(case_study_system(), mode, ceilings(),
+                            precision=PrecisionMode.MIXED)
+        points = [
+            RooflinePoint.from_traffic("ewa", 16 * 691e9, 2 * 164e6,
+                                       attained=25.99e12),
+            RooflinePoint.from_traffic("ic", 16 * 2944e9, 2 * 1e8),
+            RooflinePoint.from_traffic("local", 1e12, 0.0, attained=5e12)]
+        assert points[1].attained is None and points[2].coi == INFINITE_COI
+        artifact = export_plot(model, points)
+        assert artifact.svg.count("<circle") == 3
+        assert hashlib.sha256(artifact.csv.encode()).hexdigest() == csv_sha
+        assert hashlib.sha256(artifact.svg.encode()).hexdigest() == svg_sha
+
+    @given(st.data())
+    def test_every_cell_is_the_scalar_bound(self, data):
+        peak = data.draw(st.floats(1e3, 1e18), "peak_flops")
+        band = data.draw(st.floats(1e3, 1e15), "peak_band")
+        kinds = data.draw(st.lists(st.sampled_from(list(CeilingKind)),
+                                   max_size=5), "ceiling kinds")
+        ceilings = []
+        for i, kind in enumerate(kinds):
+            value = (data.draw(st.floats(1e-6, 1.0)) * peak
+                     if kind is CeilingKind.COMPUTATION
+                     else data.draw(st.floats(1e3, 1e15)))
+            ceilings.append(Ceiling(f"c{i}", kind, value))
+        model = RooflineModel(mode=RooflineMode.DISTRIBUTED, peak_flops=peak,
+                              peak_band=band, ceilings=tuple(ceilings))
+        selectors = [{}] + [
+            {"compute_ceiling" if c.kind is CeilingKind.COMPUTATION
+             else "comm_ceiling": c.name} for c in model.ceilings]
+        lines = export_plot(model).csv.splitlines()
+        assert lines[0].split(",") == ["coi", "bound_flops", *(
+            f"ceiling_{c.name}" for c in model.ceilings)]
+        grid = _coi_grid(model)
+        assert len(lines) == len(grid) + 1
+        for x, line in zip(grid, lines[1:]):
+            assert line.split(",") == [format(x, ".9g"), *(
+                format(attained_bound(model, x, **kw), ".9g")
+                for kw in selectors)]
+
 
 class TestCaseStudyClassification:
     """The published 16-GPU bottleneck split and the 32->64 GPU shift."""
