@@ -150,7 +150,8 @@ def _refuse_overwrite(outputs, inputs, shared: Optional[str] = None) -> None:
         try:
             st = os.stat(path)
         except OSError:
-            return Path(path).resolve()
+            # not Path.resolve(), which raises RuntimeError on a symlink loop
+            return os.path.realpath(path)
         return st.st_dev, st.st_ino
 
     written = {}

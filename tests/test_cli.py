@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import shutil
@@ -735,6 +736,16 @@ class TestOneOutputRule:
                    f"file {scenario}; give the output its own file\n")
         assert scenario.read_text() == text
         assert list((tmp_path / "d").iterdir()) == [scenario]
+
+    def test_output_in_a_symbolic_link_loop_fails_to_open(
+            self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "sys.json").write_text(dumps(case_study_system()))
+        (tmp_path / "loop").symlink_to("loop")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, "roofline", "--system", "sys.json",
+                       "--out-csv", "loop") == (
+            1, "", f"error: [Errno {errno.ELOOP}] "
+                   f"{os.strerror(errno.ELOOP)}: 'loop'\n")
 
     def test_no_output_reads_and_stats_nothing(self, monkeypatch):
         def inputs():
